@@ -47,9 +47,7 @@ class DistortedMetric:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("distance matrix must be square")
-        finite = np.isfinite(v)
-        if not np.array_equal(finite, finite.T) or \
-                not np.array_equal(v[finite], v.T[finite]):
+        if not np.array_equal(v, v.T, equal_nan=True):
             raise ValueError("distance matrix must be symmetric")
         object.__setattr__(self, "values", v)
 

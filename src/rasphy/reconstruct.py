@@ -14,6 +14,24 @@ The input is a symmetric matrix of distance estimates that is accurate
    robustness against censored entries;
 3. repeat until three nodes remain.
 
+Candidates are tried in the order ``(value, lower id, higher id)``:
+ascending distance, ties broken by node id.  Leaves keep their ids
+``0 .. n-1`` and each pseudo-leaf takes the next unused id, so this is
+also the stable order of the active pairs by distance.  The order is
+part of the contract: tree metrics on a coarse grid tie often, and the
+tie-break decides which of several equal cherries merges first.
+
+The agglomeration is incremental, with sorted candidate rows as in
+RapidNJ (Simonsen, Mailund and Pedersen, WABI 2008).  One queue holds
+the usable pairs, read from the upper triangle of the symmetric input:
+the leaf pairs as one sorted run, each pseudo-leaf's pairs as another,
+and a heap over the heads of the runs.  Each merge pops candidates in
+order, drops those with a merged endpoint, tests the rest until one is
+confirmed, and then pushes back the candidates that failed and adds the
+new pseudo-leaf's usable pairs as a run.  A pair's distance never
+changes once written, so the order stays exact.  The pseudo-leaf's
+distance row is computed over arrays in one step.
+
 Every comparison is homogeneous in the distance scale, so a global
 rescaling of the input (with the configuration scaled along) cannot
 change any decision; the unknown scaling factor of the estimated metric
@@ -22,6 +40,7 @@ is therefore harmless.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +111,96 @@ def _resolve_trust_cap(values: np.ndarray, cfg: ReconstructionConfig) -> float:
     return cap
 
 
+class _CandidateQueue:
+    """Candidate pairs ``(value, a, b)``, ``a < b``, popped in the order
+    ``(value, a, b)``.
+
+    Pairs arrive in runs (all leaf pairs, then one run per pseudo-leaf),
+    each sorted once in numpy; the heap holds only the head of each run
+    plus single pairs pushed back, so adding a run of ``m`` pairs costs
+    one sort instead of ``m`` heap pushes.
+    """
+
+    def __init__(self):
+        self._heap = []
+        self._runs = []
+
+    def __bool__(self):
+        return bool(self._heap)
+
+    def add_run(self, vals: np.ndarray, a: np.ndarray, b: np.ndarray):
+        order = np.lexsort((b, a, vals))
+        run = (vals[order], a[order], b[order])
+        self._runs.append(run)
+        self._push_head(len(self._runs) - 1, 0)
+
+    def _push_head(self, r: int, i: int):
+        vals, a, b = self._runs[r]
+        if i < vals.size:
+            heapq.heappush(self._heap,
+                           (float(vals[i]), int(a[i]), int(b[i]), r, i))
+
+    def push(self, pair: tuple):
+        heapq.heappush(self._heap, pair + (-1, 0))
+
+    def pop(self) -> tuple:
+        value, a, b, r, i = heapq.heappop(self._heap)
+        if r >= 0:
+            self._push_head(r, i + 1)
+        return value, a, b
+
+
+def _witnesses(d: np.ndarray, act: np.ndarray, a: int, b: int, cap: float,
+               count: int) -> np.ndarray:
+    """The ``count`` active nodes nearest to the pair ``(a, b)`` that are
+    trusted from both ends, ordered by ``(min(d[a, c], d[b, c]), c)``."""
+    da, db = d[a, act], d[b, act]
+    keep = (da < cap) & (db < cap) & (act != a) & (act != b)
+    ids = act[keep]
+    order = np.lexsort((ids, np.minimum(da, db)[keep]))
+    return ids[order[:count]]
+
+
+def _confirmed(d: np.ndarray, a: int, b: int, pairs, margin_floor: float) -> bool:
+    """True iff every witness pair ``(c, e)`` splits ``ab|ce`` with margin
+    above ``margin_floor``; stops at the first pair that does not."""
+    for c, e in pairs:
+        split, margin = quartet_margin(d, a, b, c, e)
+        if set(split[0]) not in ({a, b}, {c, e}) or margin <= margin_floor:
+            return False
+    return True
+
+
+def _pseudo_leaf_row(dac: np.ndarray, dbc: np.ndarray, dab: float,
+                     h_a: float, h_b: float) -> np.ndarray:
+    """Distances from the apex of cherry ``(a, b)`` to the other nodes.
+
+    Per node, the median of the available estimates: the three-point
+    estimate when both entries are finite, plus one estimate through
+    each finite entry.  Both entries finite gives three estimates, one
+    finite entry gives one, none gives ``inf``.  The median of three is
+    computed as ``max(min(e1, e2), min(max(e1, e2), e3))``, which is the
+    middle element exactly.  Negative estimates clamp to 0.
+    """
+    fa, fb = np.isfinite(dac), np.isfinite(dbc)
+    with np.errstate(invalid="ignore"):
+        e1 = 0.5 * (dac + dbc - dab)
+        e2 = dac - h_a
+        e3 = dbc - h_b
+        mid = np.maximum(np.minimum(e1, e2), np.minimum(np.maximum(e1, e2), e3))
+    est = np.where(fa & fb, mid, np.where(fa, e2, np.where(fb, e3, np.inf)))
+    return np.where(est < 0.0, 0.0, est)
+
+
 def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
                          labels=None) -> Topology:
     """Recover the leaf topology from a distorted metric.
 
     ``dhat`` is a :class:`DistortedMetric` or a symmetric ``(n, n)``
-    array with ``+inf`` for missing entries.  ``labels`` names the
-    leaves (defaults to ``leaf_0 ..``).
+    array with ``+inf`` for missing entries; a raw array passes the same
+    square and symmetry checks as a :class:`DistortedMetric` and raises
+    ``ValueError`` if it fails them.  ``labels`` names the leaves
+    (defaults to ``leaf_0 ..``).
 
     Contract: if the input is a valid distortion of a tree metric whose
     (rescaled) edge weights lie in ``[f', g']`` with accuracy
@@ -106,8 +208,9 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     ``cfg.trust_cap <= psi``, the output equals the true topology.
     """
     cfg = cfg or ReconstructionConfig()
-    values = dhat.values if isinstance(dhat, DistortedMetric) else \
-        np.asarray(dhat, dtype=float)
+    if not isinstance(dhat, DistortedMetric):
+        dhat = DistortedMetric(values=dhat)
+    values = dhat.values
     n = values.shape[0]
     if n < 4:
         raise ValueError("need at least 4 leaves")
@@ -121,81 +224,68 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     d[:n, :n] = values
     np.fill_diagonal(d, 0.0)
     clades: list = list(labels)
-    active: list[int] = list(range(n))
-    next_id = n
+    alive = np.zeros(total, dtype=bool)
+    alive[:n] = True
 
-    while len(active) > 3:
-        act = np.array(active)
-        sub = d[np.ix_(act, act)]
-        ii, jj = np.triu_indices(len(act), k=1)
-        vals = sub[ii, jj]
-        usable = vals < cap
-        order = np.argsort(vals[usable], kind="stable")
-        cand = list(zip(act[ii[usable]][order].tolist(),
-                        act[jj[usable]][order].tolist()))
-        merged = False
+    # the usable pairs, read from the upper triangle; entries whose
+    # endpoint has merged are dropped when popped
+    ii, jj = np.triu_indices(n, k=1)
+    vals = d[ii, jj]
+    usable = vals < cap
+    queue = _CandidateQueue()
+    queue.add_run(vals[usable], ii[usable], jj[usable])
+
+    for v in range(n, total):
+        act = np.flatnonzero(alive)
+        failed = []  # popped live candidates that did not merge
         tested_any = False
-        for a, b in cand:
-            witnesses = [
-                c for c in active
-                if c != a and c != b and d[a, c] < cap and d[b, c] < cap
-            ]
-            witnesses.sort(key=lambda c: (min(d[a, c], d[b, c]), c))
-            witnesses = witnesses[: cfg.witness_count]
+        while queue:
+            entry = queue.pop()
+            _, a, b = entry
+            if not (alive[a] and alive[b]):
+                continue
+            witnesses = _witnesses(d, act, a, b, cap, cfg.witness_count)
+            w = witnesses.tolist()
             pairs = [
                 (c, e)
-                for i_, c in enumerate(witnesses)
-                for e in witnesses[i_ + 1:]
+                for i_, c in enumerate(w)
+                for e in w[i_ + 1:]
                 if d[c, e] < cap
             ]
-            if not pairs:
-                continue
-            tested_any = True
-            confirmed = True
-            for c, e in pairs:
-                split, margin = quartet_margin(d, a, b, c, e)
-                if set(split[0]) not in ({a, b}, {c, e}) or \
-                        margin <= margin_floor:
-                    confirmed = False
+            if pairs:
+                tested_any = True
+                if _confirmed(d, a, b, pairs, margin_floor):
                     break
-            if not confirmed:
-                continue
-            # merge the confirmed cherry at its apex
-            heights = [0.5 * (d[a, b] + d[a, c] - d[b, c]) for c in witnesses]
-            h_a = float(np.median(heights))
-            h_a = min(max(h_a, 0.0), d[a, b])
-            h_b = d[a, b] - h_a
-            v = next_id
-            next_id += 1
-            clades.append((clades[a], clades[b]))
-            for c in active:
-                if c == a or c == b:
-                    continue
-                ests = []
-                if np.isfinite(d[a, c]) and np.isfinite(d[b, c]):
-                    ests.append(0.5 * (d[a, c] + d[b, c] - d[a, b]))
-                if np.isfinite(d[a, c]):
-                    ests.append(d[a, c] - h_a)
-                if np.isfinite(d[b, c]):
-                    ests.append(d[b, c] - h_b)
-                est = max(float(np.median(ests)), 0.0) if ests else np.inf
-                d[v, c] = d[c, v] = est
-            active = [c for c in active if c != a and c != b]
-            active.append(v)
-            merged = True
-            break
-        if not merged:
+            failed.append(entry)
+        else:
             if tested_any:
                 raise AmbiguousCherry(
                     f"no candidate cherry won its quartet tests by more than "
-                    f"4*tau={margin_floor} with {len(active)} nodes left"
+                    f"4*tau={margin_floor} with {act.size} nodes left"
                 )
             raise DisconnectedTrustGraph(
                 f"no candidate cherry has two trusted witnesses with "
-                f"{len(active)} nodes left; trust horizon or sample size "
+                f"{act.size} nodes left; trust horizon or sample size "
                 "too small"
             )
-    return Topology.from_nested(tuple(clades[c] for c in active))
+        # merge the confirmed cherry at its apex
+        dab = d[a, b]
+        heights = 0.5 * (dab + d[a, witnesses] - d[b, witnesses])
+        h_a = float(np.median(heights))
+        h_a = min(max(h_a, 0.0), dab)
+        h_b = dab - h_a
+        clades.append((clades[a], clades[b]))
+        alive[a] = alive[b] = False
+        others = np.flatnonzero(alive[:v])
+        row = _pseudo_leaf_row(d[a, others], d[b, others], dab, h_a, h_b)
+        d[v, others] = row
+        d[others, v] = row
+        alive[v] = True
+        for entry in failed:
+            queue.push(entry)
+        keep = row < cap
+        queue.add_run(row[keep], others[keep], np.full(keep.sum(), v))
+    return Topology.from_nested(tuple(clades[c] for c in np.flatnonzero(alive)))
 
 
 def inject_distortion(metric: np.ndarray, tau: float, psi: float,

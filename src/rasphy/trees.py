@@ -519,13 +519,52 @@ def tree_metric(p: Phylogeny) -> np.ndarray:
     """All-pairs leaf distance matrix (path sums of edge weights).
 
     Returns a symmetric ``(n, n)`` array with zero diagonal, indexed by
-    leaf id.  Consistent with per-leaf traversals by construction.
+    leaf id.  The tree is rooted at an internal vertex and its leaves are
+    put in depth-first order, so the leaves below each vertex ``c`` form
+    one contiguous block ``S_c``.  Two passes over the edges then fill
+    the distance from every leaf to every vertex, where ``p`` is the
+    parent of ``c`` and ``w`` their edge weight:
+
+    * children first, ``D[p, S_c] = D[c, S_c] + w``;
+    * parents first, ``D[c, ~S_c] = D[p, ~S_c] + w``.
+
+    Each entry is summed along its path starting from the leaf, exactly
+    as :meth:`Phylogeny.leaf_distances_from` does, so the result equals
+    the symmetrised per-leaf walks bit for bit.
     """
-    n = p.n_leaves
-    out = np.zeros((n, n))
-    for leaf in range(n):
-        out[leaf] = p.leaf_distances_from(leaf)
-    # enforce exact symmetry (same sums either way, but be safe)
+    n, n_vertices = p.n_leaves, p.n_vertices
+    root = n  # an internal vertex
+    parent = [root] * n_vertices
+    weight = [0.0] * n_vertices
+    lo = [0] * n_vertices  # leaves before the vertex in depth-first order
+    order = []
+    stack = [root]
+    seen = 0
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        lo[x] = seen
+        if x < n:
+            seen += 1
+        for y, w in p.neighbors(x):
+            if y != parent[x]:
+                parent[y], weight[y] = x, w
+                stack.append(y)
+    hi = [lo[x] + 1 if x < n else lo[x] for x in range(n_vertices)]
+
+    # D[x, i]: distance from the i-th leaf in depth-first order to vertex x
+    dist = np.empty((n_vertices, n))
+    dist[np.arange(n), lo[:n]] = 0.0
+    for c in reversed(order[1:]):  # every descendant of c comes first
+        pc, s = parent[c], slice(lo[c], hi[c])
+        hi[pc] = max(hi[pc], hi[c])
+        dist[pc, s] = dist[c, s] + weight[c]
+    for c in order[1:]:
+        pc, w = parent[c], weight[c]
+        dist[c, :lo[c]] = dist[pc, :lo[c]] + w
+        dist[c, hi[c]:] = dist[pc, hi[c]:] + w
+    out = dist[:n, lo[:n]].T
+    # paths summed from either end may differ in the last bit
     return (out + out.T) / 2.0
 
 

@@ -113,6 +113,22 @@ class TestErrors:
         with pytest.raises(ValueError, match="4 leaves"):
             reconstruct_topology(d, NOISELESS)
 
+    def test_raw_array_must_be_square(self):
+        with pytest.raises(ValueError, match="square"):
+            reconstruct_topology(np.zeros((5, 4)), NOISELESS)
+
+    def test_raw_array_must_be_symmetric(self, reg_01_02):
+        tree = generate_random_regular(8, reg_01_02, seed=0)
+        d = tree_metric(tree)
+        d[0, 5] += 0.05
+        with pytest.raises(ValueError, match="symmetric"):
+            reconstruct_topology(d, NOISELESS)
+        for upper, lower in ((np.inf, 0.3), (-np.inf, np.inf)):
+            d = tree_metric(tree)
+            d[2, 3], d[3, 2] = upper, lower
+            with pytest.raises(ValueError, match="symmetric"):
+                reconstruct_topology(d, NOISELESS)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trust_cap"):
             ReconstructionConfig(trust_cap=0.4, tau=0.1)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rasphy import (NewickError, RegularityParams, Topology,
+from rasphy import (NewickError, Phylogeny, RegularityParams, Topology,
                     four_point_topology, generate_complete_binary,
                     generate_random_regular, parse_newick, paths_disjoint,
                     robinson_foulds, tree_metric)
@@ -104,6 +104,41 @@ class TestTreeMetric:
                 s = sorted([d[a, b] + d[c, e], d[a, c] + d[b, e],
                             d[a, e] + d[b, c]])
                 assert s[1] == pytest.approx(s[2], abs=1e-12)
+
+
+def _per_leaf_walks(tree):
+    out = np.array([tree.leaf_distances_from(leaf)
+                    for leaf in range(tree.n_leaves)])
+    return (out + out.T) / 2.0
+
+
+class TestTreeMetricBitwise:
+    """``tree_metric`` equals the symmetrised per-leaf walks bit for bit."""
+
+    def assert_bitwise(self, tree):
+        got, want = tree_metric(tree), _per_leaf_walks(tree)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_three_leaves(self):
+        self.assert_bitwise(parse_newick("(a:0.1,b:0.7,c:1e-3);"))
+
+    def test_caterpillar_eight(self):
+        self.assert_bitwise(parse_newick(
+            "(a:1,(b:1,(c:1,(d:1,(e:1,(f:1,(g:1,h:1):1):1):1):1):1):1);"))
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 100, 512])
+    def test_random_trees_varied_weights(self, n):
+        for seed in range(2):
+            shape = generate_random_regular(n, RegularityParams(0.1, 0.2, 1.5),
+                                            seed=seed)
+            rng = np.random.default_rng(seed)
+            weights = np.exp(rng.normal(0.0, 3.0, size=len(shape.edges)))
+            self.assert_bitwise(Phylogeny(
+                [(u, v, float(w)) for (u, v, _), w in zip(shape.edges,
+                                                          weights)],
+                shape.labels))
+            self.assert_bitwise(shape)
 
 
 class TestGenerators:
