@@ -8,28 +8,28 @@ agglomeration, with exact small-instance oracles for verification.
 
 from .binning import (BinAssignment, BinningParams, NoAbundantBin, bin_sites,
                       derive_params, select_abundant)
-from .clustering import (AgreementMatrix, ClusteringThresholds, PairSet,
-                         SparsityCertificate, agreement_matrix,
+from .clustering import (AgreementMatrix, ClusteringThresholds, EmptyPairSet,
+                         PairSet, SparsityCertificate, agreement_matrix,
                          all_site_statistics, certify_sparsity, close_pairs,
-                         expected_statistic_curve, full_sum_statistic,
-                         full_sum_statistics, invert_statistic_curve,
-                         oracle_sparsify, site_statistic, sparsify,
-                         sparsity_constant)
+                         expected_statistic_curve, full_sum_statistics,
+                         invert_statistic_curve, oracle_sparsify,
+                         site_statistic, sparsify, sparsity_constant)
 from .distances import (DistortedMetric, DistortionReport, bin_agreement,
                         distorted_metric, verify_distortion)
 from .models import (Alignment, AssumptionReport, RateDistribution,
                      SubstitutionModel, check_assumption,
-                     exact_leaf_distribution, phi, phi_inverse,
-                     simulate_alignment, transition_matrix)
+                     exact_leaf_distribution, simulate_alignment,
+                     transition_matrix)
 from .pipeline import (ClassificationReport, PipelineConfig, PipelineError,
                        PipelineReport, identifiability_witness, run_pipeline,
                        site_classification_report)
 from .reconstruct import (AmbiguousCherry, DisconnectedTrustGraph,
                           ReconstructionConfig, end_to_end_contract_check,
                           inject_distortion, reconstruct_topology)
-from .trees import (NewickError, Phylogeny, RegularityParams, Topology,
-                    four_point_topology, generate_complete_binary,
-                    generate_random_regular, parse_newick, paths_disjoint,
-                    robinson_foulds, tree_metric)
+from .trees import (NewickError, Phylogeny, RegularityParams,
+                    StatisticalFailure, Topology, four_point_topology,
+                    generate_complete_binary, generate_random_regular,
+                    parse_newick, paths_disjoint, robinson_foulds,
+                    tree_metric)
 
 __version__ = "0.1.0"

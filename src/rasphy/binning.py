@@ -15,7 +15,9 @@ the regularity parameters (f, g, M) alone:
 
 A bin holding at least ``k * chi / (6 * num_bins)`` sites is abundant;
 at least one interior bin is abundant with high probability, and its
-sites are handed to distance estimation.
+sites are handed to distance estimation.  When none is,
+``select_abundant`` raises :class:`NoAbundantBin`, a statistical
+failure that the pipeline records instead of raising.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import RegularityParams
+from .trees import RegularityParams, StatisticalFailure
 
 __all__ = [
     "BinAssignment",
@@ -37,7 +39,7 @@ __all__ = [
 ]
 
 
-class NoAbundantBin(RuntimeError):
+class NoAbundantBin(StatisticalFailure):
     """No interior bin reached the abundance threshold (k too small)."""
 
     def __init__(self, threshold: float, best_count: int, best_bin: int):
@@ -78,6 +80,10 @@ class BinningParams:
     num_bins: int
     n_leaves: int
 
+    def abundance_threshold(self, k: int) -> float:
+        """Sites a bin needs out of ``k`` to count as abundant."""
+        return k * self.chi / (6.0 * self.num_bins)
+
     def lines(self):
         for name in ("rate_lo", "rate_hi", "chi", "u_lo", "u_hi",
                      "gamma_u", "delta_u", "num_bins", "n_leaves"):
@@ -113,17 +119,6 @@ class BinAssignment:
         return lo, lo + bp.delta_u
 
 
-def _max_gamma_u(reg: RegularityParams, n: int) -> float:
-    g, f, cap = reg.max_edge, reg.min_edge, reg.distance_cap
-    rate_lo = g / cap
-    rate_hi = 2.0 / (1.0 - math.exp(-5.0 * g))
-    u_lo = math.exp(-cap * rate_hi)
-    u_hi = math.exp(-2.0 * f * rate_lo)
-    room_hi = (math.exp(-f * rate_lo) - u_hi) / 2.0
-    room_lo = (u_lo - math.exp(-2.0 * cap * rate_hi)) / 2.0
-    return math.log(n) * min(room_hi, room_lo)
-
-
 def derive_params(reg: RegularityParams, n: int,
                   gamma_u: float | None = None) -> BinningParams:
     """Compute the binning constants for an n-leaf instance.
@@ -140,7 +135,9 @@ def derive_params(reg: RegularityParams, n: int,
     chi = (1.0 - math.exp(-5.0 * g)) / 2.0
     u_lo = math.exp(-cap * rate_hi)
     u_hi = math.exp(-2.0 * f * rate_lo)
-    biggest = _max_gamma_u(reg, n)
+    room_hi = (math.exp(-f * rate_lo) - u_hi) / 2.0
+    room_lo = (u_lo - math.exp(-2.0 * cap * rate_hi)) / 2.0
+    biggest = math.log(n) * min(room_hi, room_lo)
     if gamma_u is None:
         gamma_u = biggest / 2.0
     elif not (0.0 < gamma_u <= biggest):
@@ -182,12 +179,12 @@ def bin_sites(u_values, bp: BinningParams) -> BinAssignment:
 def select_abundant(ba: BinAssignment, k: int) -> int:
     """Index of the largest abundant interior bin.
 
-    A bin is abundant when it holds at least ``k * chi / (6 * num_bins)``
-    sites.  Ties break toward the lowest index; raises
-    :class:`NoAbundantBin` when nothing qualifies.
+    A bin is abundant when it holds at least
+    :meth:`BinningParams.abundance_threshold` sites.  Ties break toward
+    the lowest index; raises :class:`NoAbundantBin` when nothing
+    qualifies.
     """
-    bp = ba.params
-    threshold = k * bp.chi / (6.0 * bp.num_bins)
+    threshold = ba.params.abundance_threshold(k)
     counts = ba.counts()
     best_bin = 1 + int(np.argmax(counts[1:]))
     best_count = int(counts[best_bin])

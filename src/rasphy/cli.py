@@ -2,7 +2,8 @@
 
 Every run echoes its fully resolved configuration into the output
 directory, all randomness is seeded, and reruns reproduce outputs byte
-for byte.  Exit codes: 0 success, 1 usage error, 2 stage or model error.
+for byte.  Exit codes: 0 success, 1 usage error, 2 statistical, model
+or input error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 
 
 from . import io as _io
-from .binning import NoAbundantBin
 from .models import SubstitutionModel, check_assumption, simulate_alignment
 from .pipeline import PipelineConfig, identifiability_witness, run_pipeline
 from .reconstruct import ReconstructionConfig
@@ -55,8 +55,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out-dir", required=True)
     sim.add_argument("--config", help="key = value defaults file")
-    sim.add_argument("--threads", type=int, default=1,
-                     help="cap on internal parallelism (outputs unchanged)")
 
     pipe = sub.add_parser("pipeline", help="run the inference pipeline",
                           description="Reconstruct a topology from an "
@@ -77,8 +75,6 @@ def _build_parser() -> _Parser:
                       help="stop after the per-site statistic CSV")
     pipe.add_argument("--out-dir", required=True)
     pipe.add_argument("--config", help="key = value defaults file")
-    pipe.add_argument("--threads", type=int, default=1,
-                      help="cap on internal parallelism (outputs unchanged)")
 
     ev = sub.add_parser("eval", help="compare trees or models",
                         description="rf: Robinson-Foulds between two Newick "
@@ -283,7 +279,7 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             return _cmd_pipeline(args)
         return _cmd_eval(args)
-    except (ValueError, NoAbundantBin, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"rasphy {args.command}: {exc}", file=sys.stderr)
         return STAGE_ERROR
 

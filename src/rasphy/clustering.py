@@ -12,10 +12,15 @@ are pairwise edge-disjoint and which number linearly in the leaf count
 * oracle (``oracle_sparsify``), using the true tree metric, for
   verification of the sparsity properties.
 
-``site_statistic`` evaluates the per-site average; ``full_sum_statistic``
-is the naive all-pairs variant kept as a negative control (its
-signal-to-noise degrades on large trees).  ``certify_sparsity`` checks
-the three sparse-pair properties against a known tree.
+``site_statistic`` and ``all_site_statistics`` evaluate the per-site
+average; ``full_sum_statistics`` is the naive all-pairs variant kept as
+a negative control (its signal-to-noise degrades on large trees).
+``certify_sparsity`` checks the three sparse-pair properties against a
+known tree.
+
+An empty pair set (no pair of the data reached ``close_level``) raises
+:class:`EmptyPairSet`, a statistical failure that the pipeline records
+instead of raising; every other error here means a wrong call.
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Alignment, SubstitutionModel
-from .trees import Phylogeny, RegularityParams, tree_metric
+from .models import Alignment, SubstitutionModel, invert_decreasing
+from .trees import Phylogeny, RegularityParams, StatisticalFailure, tree_metric
 
 __all__ = [
     "AgreementMatrix",
     "ClusteringThresholds",
+    "EmptyPairSet",
     "PairSet",
     "SparsityCertificate",
     "agreement_matrix",
@@ -38,13 +44,17 @@ __all__ = [
     "certify_sparsity",
     "close_pairs",
     "expected_statistic_curve",
-    "full_sum_statistic",
+    "full_sum_statistics",
     "invert_statistic_curve",
     "oracle_sparsify",
     "site_statistic",
     "sparsify",
     "sparsity_constant",
 ]
+
+
+class EmptyPairSet(StatisticalFailure, ValueError):
+    """A statistic or a thinning step was given no leaf pairs."""
 
 
 @dataclass(frozen=True)
@@ -208,25 +218,29 @@ def sparsify(candidates: PairSet, q: AgreementMatrix,
     sharing a leaf with it always go.
     """
     if len(candidates) == 0:
-        raise ValueError("candidate pair set is empty")
-    vals = q.values
-    order = sorted(candidates, key=lambda ab: (-vals[ab[0], ab[1]], ab))
+        raise EmptyPairSet("candidate pair set is empty")
+    kept = _greedy_thin(candidates, q.values, t.prune_level)
+    return PairSet(kept, provenance=candidates.provenance)
+
+
+def _greedy_thin(pairs, closeness: np.ndarray, level: float) -> tuple:
+    """Pick pairs in descending ``closeness`` (ties lexicographic); after
+    each pick drop every pair with a leaf whose closeness to either
+    picked leaf reaches ``level``."""
+    order = sorted(pairs, key=lambda ab: (-closeness[ab[0], ab[1]], ab))
     pa = np.array([a for a, _ in order])
     pb = np.array([b for _, b in order])
     alive = np.ones(len(order), dtype=bool)
     kept = []
-    while True:
-        idx = np.argmax(alive)
-        if not alive[idx]:
-            break
-        a_star, b_star = order[idx]
+    while alive.any():
+        a_star, b_star = order[np.argmax(alive)]
         kept.append((a_star, b_star))
         crowd = np.maximum(
-            np.maximum(vals[pa, a_star], vals[pa, b_star]),
-            np.maximum(vals[pb, a_star], vals[pb, b_star]),
+            np.maximum(closeness[pa, a_star], closeness[pa, b_star]),
+            np.maximum(closeness[pb, a_star], closeness[pb, b_star]),
         )
-        alive &= crowd < t.prune_level
-    return PairSet(tuple(kept), provenance=candidates.provenance)
+        alive &= crowd < level
+    return tuple(kept)
 
 
 def oracle_sparsify(p: Phylogeny, params: RegularityParams,
@@ -245,29 +259,12 @@ def oracle_sparsify(p: Phylogeny, params: RegularityParams,
         raise ValueError(f"need 4g < m < M, got m={m}, 4g={4 * g}, "
                          f"M={params.distance_cap}")
     dist = tree_metric(p)
-    n = p.n_leaves
-    a_idx, b_idx = np.triu_indices(n, k=1)
+    a_idx, b_idx = np.triu_indices(p.n_leaves, k=1)
     within = dist[a_idx, b_idx] <= m
-    order = sorted(
-        zip(a_idx[within].tolist(), b_idx[within].tolist()),
-        key=lambda ab: (dist[ab[0], ab[1]], ab),
-    )
-    pa = np.array([a for a, _ in order])
-    pb = np.array([b for _, b in order])
-    alive = np.ones(len(order), dtype=bool)
-    kept = []
-    while len(order) > 0:
-        idx = np.argmax(alive)
-        if not alive[idx]:
-            break
-        a_star, b_star = order[idx]
-        kept.append((a_star, b_star))
-        near = np.minimum(
-            np.minimum(dist[pa, a_star], dist[pa, b_star]),
-            np.minimum(dist[pb, a_star], dist[pb, b_star]),
-        )
-        alive &= near > m
-    return PairSet(tuple(kept), provenance="oracle")
+    pairs = zip(a_idx[within].tolist(), b_idx[within].tolist())
+    # nearest first, and "within m" crowds: on negated distances this
+    # is the thinning of ``sparsify``, exactly, as negation is exact
+    return PairSet(_greedy_thin(pairs, -dist, -m), provenance="oracle")
 
 
 def certify_sparsity(pairs: PairSet, p: Phylogeny,
@@ -332,7 +329,7 @@ def all_site_statistics(aln: Alignment, pairs: PairSet,
                         model: SubstitutionModel) -> np.ndarray:
     """Vector of the clustering statistic for every site."""
     if len(pairs) == 0:
-        raise ValueError("pair set is empty")
+        raise EmptyPairSet("pair set is empty")
     return _pair_indicator_stats(aln, pairs, model)
 
 
@@ -345,7 +342,7 @@ def site_statistic(aln: Alignment, pairs: PairSet, i: int,
     ``lam``.
     """
     if len(pairs) == 0:
-        raise ValueError("pair set is empty")
+        raise EmptyPairSet("pair set is empty")
     row = aln.data[i]
     agree = np.fromiter((row[a] == row[b] for a, b in pairs),
                         dtype=np.float64, count=len(pairs)).mean()
@@ -357,7 +354,7 @@ def expected_statistic_curve(p: Phylogeny, pairs: PairSet, lambda_grid):
     exp(-lam * d(a, b))`` (strictly decreasing).  Oracle diagnostic; uses
     the true metric."""
     if len(pairs) == 0:
-        raise ValueError("pair set is empty")
+        raise EmptyPairSet("pair set is empty")
     dist = tree_metric(p)
     dvals = np.array([dist[a, b] for a, b in pairs])
     return [(float(lam), float(np.exp(-lam * dvals).mean()))
@@ -369,49 +366,27 @@ def invert_statistic_curve(p: Phylogeny, pairs: PairSet,
     """The rate whose conditional-mean statistic equals ``u_value``.
 
     Oracle-mode diagnostic (needs true distances): inverts the strictly
-    decreasing curve of :func:`expected_statistic_curve` by bisection
-    with bracket doubling, e.g. to name the rate a statistic bin's
-    midpoint corresponds to.  ``u_value`` must lie in (0, 1].
+    decreasing curve of :func:`expected_statistic_curve` with
+    :func:`~rasphy.models.invert_decreasing`, e.g. to name the rate a
+    statistic bin's midpoint corresponds to.  ``u_value`` must lie in
+    (0, 1].
     """
-    if not (0.0 < u_value <= 1.0):
-        raise ValueError("u_value must lie in (0, 1]")
+    if len(pairs) == 0:
+        raise EmptyPairSet("pair set is empty")
     dist = tree_metric(p)
     dvals = np.array([dist[a, b] for a, b in pairs])
-
-    def curve(lam: float) -> float:
-        return float(np.exp(-lam * dvals).mean())
-
-    if u_value == 1.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while curve(hi) > u_value:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValueError(f"curve never reaches {u_value}")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if curve(mid) > u_value:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return invert_decreasing(lambda lam: float(np.exp(-lam * dvals).mean()),
+                             u_value)
 
 
-def full_sum_statistic(aln: Alignment, i: int,
-                       model: SubstitutionModel) -> float:
-    """All-pairs agreement sum at site ``i`` (negative baseline).
+def full_sum_statistics(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
+    """All-pairs agreement sum at every site (negative baseline).
 
     Sums the normalized indicator over every distinct leaf pair, without
     the pair-count normalization.  In the two-state uniform model this
     equals ``sum over pairs of sigma_a * sigma_b`` for the +/-1 site
     encoding.
     """
-    return float(full_sum_statistics(aln, model)[i])
-
-
-def full_sum_statistics(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
-    """Vectorized :func:`full_sum_statistic` over all sites."""
     data = aln.data
     n = aln.n
     agree = np.zeros(aln.k)

@@ -153,7 +153,7 @@ def write_statistics_csv(path, u_values, hidden_lambdas=None):
 
 def write_bin_report(path, assignment: BinAssignment, k: int):
     bp = assignment.params
-    threshold = k * bp.chi / (6.0 * bp.num_bins)
+    threshold = bp.abundance_threshold(k)
     counts = assignment.counts()
     with open(path, "w") as fh:
         fh.write("bin_index,lower_edge,upper_edge,count,is_abundant\n")

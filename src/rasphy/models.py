@@ -13,6 +13,7 @@ The module provides
 * ``RateDistribution``      constant / discrete / gamma / lognormal rate
   laws, all normalized to mean exactly 1, with the decay transform
   ``phi(s) = E[exp(-s * lam)]`` and its numerical inverse,
+* ``invert_decreasing``     the bisection behind every such inverse,
 * ``transition_matrix``     the per-edge channel,
 * ``simulate_alignment``    the sequence simulator (counter-based
   per-site random streams, reproducible and scheduling-independent),
@@ -38,8 +39,7 @@ __all__ = [
     "SubstitutionModel",
     "check_assumption",
     "exact_leaf_distribution",
-    "phi",
-    "phi_inverse",
+    "invert_decreasing",
     "simulate_alignment",
     "transition_matrix",
 ]
@@ -225,28 +225,9 @@ class RateDistribution:
         return value
 
     def phi_inverse(self, y: float) -> float:
-        """The unique ``s >= 0`` with ``phi(s) = y``, for ``y in (0, 1]``.
-
-        Bisection with bracket doubling; absolute tolerance 1e-12 on s.
-        """
-        if not (0.0 < y <= 1.0):
-            raise ValueError("phi_inverse needs y in (0, 1]")
-        if y == 1.0:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while self.phi(hi) > y:
-            lo = hi
-            hi *= 2.0
-            if hi > 1e9:
-                raise ValueError(f"phi never reaches {y}; distribution may "
-                                 "have mass at 0")
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if self.phi(mid) > y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        """The unique ``s >= 0`` with ``phi(s) = y``, for ``y in (0, 1]``;
+        see :func:`invert_decreasing`."""
+        return invert_decreasing(self.phi, y)
 
     # -- sampling -----------------------------------------------------------
 
@@ -270,14 +251,31 @@ class RateDistribution:
         return None
 
 
-def phi(rates: RateDistribution, s: float) -> float:
-    """Module-level alias for :meth:`RateDistribution.phi`."""
-    return rates.phi(s)
+def invert_decreasing(curve, y: float) -> float:
+    """The ``s >= 0`` with ``curve(s) = y``, for ``y in (0, 1]``.
 
-
-def phi_inverse(rates: RateDistribution, y: float) -> float:
-    """Module-level alias for :meth:`RateDistribution.phi_inverse`."""
-    return rates.phi_inverse(y)
+    ``curve`` must be continuous and strictly decreasing with
+    ``curve(0) = 1``.  Bisection with bracket doubling; absolute
+    tolerance 1e-12 on s.  Raises ``ValueError`` for ``y`` outside
+    (0, 1] or when the curve stays above ``y`` up to ``s = 1e9``.
+    """
+    if not (0.0 < y <= 1.0):
+        raise ValueError(f"need y in (0, 1], got {y!r}")
+    if y == 1.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while curve(hi) > y:
+        lo = hi
+        hi *= 2.0
+        if hi > 1e9:
+            raise ValueError(f"curve never reaches {y}")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if curve(mid) > y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +339,7 @@ def _preorder_edges(p: Phylogeny, root: int):
 
 
 def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
-                       rates: RateDistribution, k: int, seed: int,
-                       keep_lambdas: bool = True) -> Alignment:
+                       rates: RateDistribution, k: int, seed: int) -> Alignment:
     """Simulate ``k`` independent sites of the scaled Poisson process.
 
     Each site owns a counter-based random stream keyed by
@@ -385,7 +382,7 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
             states[:, child] = np.where(keep, states[:, parent], fresh)
         data[start:stop] = states[:, :n]
         lambdas[start:stop] = lam
-    return Alignment(data, model.r, lambdas if keep_lambdas else None)
+    return Alignment(data, model.r, lambdas)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """End-to-end orchestration: alignment in, topology plus diagnostics out.
 
-``run_pipeline`` chains the inference stages
+``run_pipeline`` chains the inference stages of ``_STAGES``
 
     agreement matrix -> close pairs -> sparsify -> per-site statistics
     -> binning constants -> bin assignment -> abundant bin
@@ -8,10 +8,13 @@
 
 reading nothing but the alignment character matrix (the hidden rate
 sidecar is stripped on entry, so inference cannot leak it even by
-accident).  Stage failures of the statistical kind (no abundant bin, no
-confirmable cherry) are captured in the report rather than raised;
-diagnostics against the true tree and the hidden rates are filled in
-afterwards when the caller provides them.
+accident).  A stage that finds too little signal in the data raises a
+:class:`~rasphy.trees.StatisticalFailure` (an empty pair set, no
+abundant bin, no confirmable cherry); it is recorded in the report with
+a hint, and the later stages are marked skipped.  Any other exception is
+a wrong input or a bug and propagates.  Diagnostics against the true
+tree and the hidden rates are filled in afterwards when the caller
+provides them.
 
 Also here: the desk-scale identifiability oracle (exact total-variation
 distance between leaf distributions of two small models) and the
@@ -31,7 +34,8 @@ from . import distances as _distances
 from . import reconstruct as _reconstruct
 from .models import (Alignment, RateDistribution, SubstitutionModel,
                      check_assumption, exact_leaf_distribution)
-from .trees import Phylogeny, RegularityParams, Topology, robinson_foulds, tree_metric
+from .trees import (Phylogeny, RegularityParams, StatisticalFailure, Topology,
+                    robinson_foulds, tree_metric)
 
 __all__ = [
     "ClassificationReport",
@@ -60,16 +64,12 @@ class PipelineConfig:
     """Everything a pipeline run needs besides the alignment itself.
 
     ``rates`` is the modeled rate distribution; when provided, the
-    regularity assumption is checked before anything runs.  ``k`` and
-    ``seed`` document the simulation that produced the alignment (they
-    are echoed into reports, not used for inference).
+    regularity assumption is checked before anything runs.
     """
 
     reg: RegularityParams
     model: SubstitutionModel | None = None
     rates: RateDistribution | None = None
-    k: int | None = None
-    seed: int | None = None
     gamma_u: float | None = None
     recon: _reconstruct.ReconstructionConfig | None = None
 
@@ -87,10 +87,11 @@ class StageRecord:
 class PipelineReport:
     """Everything a run produced, stage by stage.
 
-    ``ok`` is true iff every stage ran; on failure ``error`` holds the
-    annotated exception and downstream stages are marked skipped.
-    Oracle-mode fields (``rf_distance``, ``certificate``,
-    ``distortion``) are filled only when ground truth was supplied.
+    ``ok`` is true iff every stage ran; on a statistical failure
+    ``error`` holds the annotated exception and downstream stages are
+    marked skipped.  Oracle-mode fields (``rf_distance``,
+    ``certificate``, ``distortion``) are filled only when ground truth
+    was supplied.
     """
 
     stages: list = field(default_factory=list)
@@ -100,7 +101,6 @@ class PipelineReport:
     bin_params: _binning.BinningParams | None = None
     assignment: _binning.BinAssignment | None = None
     abundant_bin: int | None = None
-    bin_size: int | None = None
     dhat: _distances.DistortedMetric | None = None
     rf_distance: int | None = None
     certificate: _clustering.SparsityCertificate | None = None
@@ -111,36 +111,68 @@ class PipelineReport:
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def bin_size(self) -> int | None:
+        """Number of sites in the abundant bin."""
+        if self.abundant_bin is None:
+            return None
+        return len(self.assignment.bins[self.abundant_bin])
+
     def raise_if_failed(self):
         if self.error is not None:
             raise self.error
 
-    def stage(self, name: str) -> StageRecord:
-        for rec in self.stages:
-            if rec.name == name:
-                return rec
-        raise KeyError(name)
 
-
+# (stage, report field, call, hint, detail).  ``call`` and ``detail``
+# read the run state: "aln", "model", "cfg", "thresholds", "labels" and
+# the output of every earlier stage under its name.  Calls name their
+# function through its module at call time, so a patched module
+# attribute takes effect.  Only the stages with a hint can fail
+# statistically.
 _STAGES = (
-    "agreement_matrix",
-    "close_pairs",
-    "sparsify",
-    "site_statistics",
-    "derive_params",
-    "bin_sites",
-    "select_abundant",
-    "bin_agreement",
-    "distorted_metric",
-    "reconstruct_topology",
+    ("agreement_matrix", None,
+     lambda s: _clustering.agreement_matrix(s["aln"], s["model"]),
+     None, None),
+    ("close_pairs", None,
+     lambda s: _clustering.close_pairs(s["agreement_matrix"],
+                                       s["thresholds"]),
+     None, lambda s: {"candidate_pairs": len(s["close_pairs"])}),
+    ("sparsify", "pair_set",
+     lambda s: _clustering.sparsify(s["close_pairs"], s["agreement_matrix"],
+                                    s["thresholds"]),
+     "increase k so agreement estimates stabilize, or check f/g against "
+     "the data scale",
+     lambda s: {"pair_count": len(s["sparsify"])}),
+    ("site_statistics", "u_values",
+     lambda s: _clustering.all_site_statistics(s["aln"], s["sparsify"],
+                                               s["model"]),
+     None, None),
+    ("derive_params", "bin_params",
+     lambda s: _binning.derive_params(s["cfg"].reg, s["aln"].n,
+                                      s["cfg"].gamma_u),
+     None, None),
+    ("bin_sites", "assignment",
+     lambda s: _binning.bin_sites(s["site_statistics"], s["derive_params"]),
+     None, None),
+    ("select_abundant", "abundant_bin",
+     lambda s: _binning.select_abundant(s["bin_sites"], s["aln"].k),
+     "increase k",
+     lambda s: {"abundant_bin": s["select_abundant"],
+                "bin_size": len(s["bin_sites"].bins[s["select_abundant"]])}),
+    ("bin_agreement", None,
+     lambda s: _distances.bin_agreement(
+         s["aln"], s["bin_sites"].bins[s["select_abundant"]], s["model"]),
+     None, None),
+    ("distorted_metric", "dhat",
+     lambda s: _distances.distorted_metric(
+         s["bin_agreement"], source_bin=s["select_abundant"],
+         bin_size=len(s["bin_sites"].bins[s["select_abundant"]])),
+     None, None),
+    ("reconstruct_topology", "topology",
+     lambda s: _reconstruct.reconstruct_topology(
+         s["distorted_metric"], s["cfg"].recon, labels=s["labels"]),
+     "increase k or loosen the trust cap", None),
 )
-
-_HINTS = {
-    "close_pairs": "check f/g against the data scale",
-    "sparsify": "increase k so agreement estimates stabilize",
-    "select_abundant": "increase k",
-    "reconstruct_topology": "increase k or loosen the trust cap",
-}
 
 
 def run_pipeline(aln: Alignment, cfg: PipelineConfig,
@@ -152,6 +184,7 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
     diagnostics are appended after inference finishes.  Statistical
     stage failures are recorded in the report (``report.ok`` false)
     instead of raising; use ``report.raise_if_failed()`` to escalate.
+    Every other exception propagates.
     """
     if cfg.rates is not None:
         verdict = check_assumption(cfg.rates, cfg.reg)
@@ -161,90 +194,37 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
                 f"{verdict.phi_inv_6g!r} exceeds the distance cap "
                 f"{cfg.reg.distance_cap!r}"
             )
-    stripped = aln.without_lambdas()
-    model = cfg.model or SubstitutionModel.uniform(aln.r)
+    state = {
+        "aln": aln.without_lambdas(),
+        "model": cfg.model or SubstitutionModel.uniform(aln.r),
+        "cfg": cfg,
+        "thresholds": _clustering.ClusteringThresholds.for_max_edge(
+            cfg.reg.max_edge),
+        "labels": truth.labels if truth is not None else None,
+    }
     report = PipelineReport()
-    thresholds = _clustering.ClusteringThresholds.for_max_edge(cfg.reg.max_edge)
-
-    state: dict = {}
-
-    def run_stage(name, fn):
-        t0 = time.perf_counter()
-        try:
-            out = fn()
-        except Exception as exc:  # noqa: BLE001 - annotated and recorded
-            hint = _HINTS.get(name, "inspect the stage detail")
-            err = PipelineError(name, exc, hint)
-            report.stages.append(StageRecord(
-                name=name, status="failed",
-                seconds=time.perf_counter() - t0, reason=str(err)))
-            report.error = err
-            return None
-        report.stages.append(StageRecord(
-            name=name, status="ok", seconds=time.perf_counter() - t0))
-        return out
-
-    def skip_remaining(after: str):
-        idx = _STAGES.index(after)
-        for name in _STAGES[idx + 1:]:
+    for name, attr, call, hint, detail in _STAGES:
+        if report.error is not None:
             report.stages.append(StageRecord(
                 name=name, status="skipped",
-                reason=f"upstream stage {after!r} failed"))
-
-    for name in _STAGES:
-        if name == "agreement_matrix":
-            out = run_stage(name, lambda: _clustering.agreement_matrix(
-                stripped, model))
-            state["qmat"] = out
-        elif name == "close_pairs":
-            out = run_stage(name, lambda: _clustering.close_pairs(
-                state["qmat"], thresholds))
-            state["candidates"] = out
-            if out is not None:
-                report.stages[-1].detail["candidate_pairs"] = len(out)
-        elif name == "sparsify":
-            out = run_stage(name, lambda: _clustering.sparsify(
-                state["candidates"], state["qmat"], thresholds))
-            report.pair_set = out
-            if out is not None:
-                report.stages[-1].detail["pair_count"] = len(out)
-        elif name == "site_statistics":
-            out = run_stage(name, lambda: _clustering.all_site_statistics(
-                stripped, report.pair_set, model))
-            report.u_values = out
-        elif name == "derive_params":
-            out = run_stage(name, lambda: _binning.derive_params(
-                cfg.reg, stripped.n, cfg.gamma_u))
-            report.bin_params = out
-        elif name == "bin_sites":
-            out = run_stage(name, lambda: _binning.bin_sites(
-                report.u_values, report.bin_params))
-            report.assignment = out
-        elif name == "select_abundant":
-            out = run_stage(name, lambda: _binning.select_abundant(
-                report.assignment, stripped.k))
-            report.abundant_bin = out
-            if out is not None:
-                report.bin_size = len(report.assignment.bins[out])
-                report.stages[-1].detail["abundant_bin"] = out
-                report.stages[-1].detail["bin_size"] = report.bin_size
-        elif name == "bin_agreement":
-            out = run_stage(name, lambda: _distances.bin_agreement(
-                stripped, report.assignment.bins[report.abundant_bin], model))
-            state["qstar"] = out
-        elif name == "distorted_metric":
-            out = run_stage(name, lambda: _distances.distorted_metric(
-                state["qstar"], source_bin=report.abundant_bin,
-                bin_size=report.bin_size))
-            report.dhat = out
-        elif name == "reconstruct_topology":
-            out = run_stage(name, lambda: _reconstruct.reconstruct_topology(
-                report.dhat, cfg.recon,
-                labels=truth.labels if truth is not None else None))
-            report.topology = out
-        if report.error is not None:
-            skip_remaining(name)
-            break
+                reason=f"upstream stage {report.error.stage!r} failed"))
+            continue
+        t0 = time.perf_counter()
+        try:
+            state[name] = call(state)
+        except StatisticalFailure as exc:
+            if hint is None:
+                raise
+            report.error = PipelineError(name, exc, hint)
+            report.stages.append(StageRecord(
+                name=name, status="failed",
+                seconds=time.perf_counter() - t0, reason=str(report.error)))
+            continue
+        report.stages.append(StageRecord(
+            name=name, status="ok", seconds=time.perf_counter() - t0,
+            detail=detail(state) if detail is not None else {}))
+        if attr is not None:
+            setattr(report, attr, state[name])
 
     if truth is not None:
         _oracle_diagnostics(report, aln, cfg, truth)

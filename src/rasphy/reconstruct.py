@@ -46,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import DistortedMetric
-from .trees import Phylogeny, Topology, quartet_margin, tree_metric
+from .trees import (Phylogeny, StatisticalFailure, Topology, quartet_margin,
+                    tree_metric)
 
 __all__ = [
     "AmbiguousCherry",
@@ -58,12 +59,12 @@ __all__ = [
 ]
 
 
-class DisconnectedTrustGraph(RuntimeError):
+class DisconnectedTrustGraph(StatisticalFailure):
     """No candidate cherry could be tested; the trust horizon or the
     sample size is too small."""
 
 
-class AmbiguousCherry(RuntimeError):
+class AmbiguousCherry(StatisticalFailure):
     """Candidate cherries exist but none passed the quartet margin test."""
 
 

@@ -13,7 +13,11 @@ per site.  The module provides
   generators for experiments,
 * ``four_point_topology``   the quartet split test,
 * ``robinson_foulds``   bipartition distance between topologies,
-* ``paths_disjoint``   edge-disjointness of two leaf-to-leaf paths.
+* ``paths_disjoint``   edge-disjointness of two leaf-to-leaf paths,
+* ``StatisticalFailure``   base of the errors that mean "too little
+  signal in the data", not "wrong call"; ``run_pipeline`` records these
+  and lets every other exception propagate (defined here because the
+  binning, clustering and reconstruction modules all import this one).
 
 Everything is immutable after construction and safe to share across
 threads; the random generator takes an explicit seed.
@@ -29,6 +33,7 @@ __all__ = [
     "NewickError",
     "Phylogeny",
     "RegularityParams",
+    "StatisticalFailure",
     "Topology",
     "four_point_topology",
     "generate_complete_binary",
@@ -48,6 +53,11 @@ class NewickError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at character {position})")
         self.position = position
+
+
+class StatisticalFailure(RuntimeError):
+    """A stage found too little signal in the data to decide (k too
+    small, or the thresholds do not fit the data scale); not a bug."""
 
 
 @dataclass(frozen=True)
@@ -197,19 +207,7 @@ class Phylogeny:
         """This tree with the edge weights erased."""
         return Topology(tuple((u, v) for u, v, _ in self.edges), self.labels)
 
-    def scale(self, factor: float) -> "Phylogeny":
-        """A copy with every edge weight multiplied by ``factor`` > 0."""
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
-        return Phylogeny(
-            tuple((u, v, w * factor) for u, v, w in self.edges), self.labels
-        )
-
     # -- Newick serialization ---------------------------------------------
-
-    @classmethod
-    def from_newick(cls, text: str) -> "Phylogeny":
-        return parse_newick(text)
 
     def to_newick(self) -> str:
         """Serialize to Newick with branch lengths.
@@ -585,15 +583,9 @@ def four_point_topology(d, a: int, b: int, c: int, e: int):
     vals = [d[x, y] for x in ids for y in ids if x < y]
     if not all(np.isfinite(v) for v in vals):
         raise ValueError("four-point test requires six finite distances")
-    sums = (
-        (d[a, b] + d[c, e], ((a, b), (c, e))),
-        (d[a, c] + d[b, e], ((a, c), (b, e))),
-        (d[a, e] + d[b, c], ((a, e), (b, c))),
-    )
-    ordered = sorted(sums, key=lambda t: t[0])
-    if ordered[0][0] == ordered[1][0]:
-        return None
-    return ordered[0][1]
+    split, margin = quartet_margin(d, a, b, c, e)
+    # not ``margin == 0.0``: sums that overflow to inf tie with nan margin
+    return split if margin > 0.0 else None
 
 
 def quartet_margin(d, a: int, b: int, c: int, e: int):

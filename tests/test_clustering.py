@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from rasphy import (Alignment, ClusteringThresholds, PairSet, RateDistribution,
-                    RegularityParams, agreement_matrix,
+from rasphy import (Alignment, ClusteringThresholds, EmptyPairSet, PairSet,
+                    RateDistribution, RegularityParams, agreement_matrix,
                     all_site_statistics, certify_sparsity, close_pairs,
-                    expected_statistic_curve, full_sum_statistic,
-                    full_sum_statistics, generate_complete_binary,
+                    expected_statistic_curve, full_sum_statistics,
+                    generate_complete_binary,
                     generate_random_regular, invert_statistic_curve,
                     oracle_sparsify, paths_disjoint, simulate_alignment,
                     site_statistic, sparsify, sparsity_constant,
@@ -246,6 +246,8 @@ class TestExpectedCurve:
         assert invert_statistic_curve(tree, pairs, 1.0) == 0.0
         with pytest.raises(ValueError):
             invert_statistic_curve(tree, pairs, 1.5)
+        with pytest.raises(EmptyPairSet):
+            invert_statistic_curve(tree, PairSet(()), 0.5)
 
     def test_separation_lower_bound(self, reg_01_02):
         # U(lam') - U(lam) >= exp(-lam M) (exp(2 f beta) - 1) for lam-lam'=beta
@@ -267,8 +269,8 @@ class TestFullSum:
     def test_two_leaves_reduces_to_single_pair(self, cfn):
         data = np.array([[0, 0], [0, 1]], dtype=np.uint8)
         aln = Alignment(data, r=2)
-        assert full_sum_statistic(aln, 0, cfn) == pytest.approx(1.0)
-        assert full_sum_statistic(aln, 1, cfn) == pytest.approx(-1.0)
+        assert full_sum_statistics(aln, cfn)[0] == pytest.approx(1.0)
+        assert full_sum_statistics(aln, cfn)[1] == pytest.approx(-1.0)
 
     def test_equals_spin_sum_form(self, cfn):
         # for r=2 the normalized-indicator sum equals sum of sigma_a sigma_b

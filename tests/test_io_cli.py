@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from rasphy import (RateDistribution, RegularityParams,
+from rasphy import (BinningParams, RateDistribution, RegularityParams,
                     generate_random_regular, simulate_alignment)
 from rasphy import io as rio
 from rasphy.cli import main
@@ -170,6 +170,24 @@ class TestPipelineCommand:
             assert (out / name).exists()
         report = (out / "report.txt").read_text()
         assert "ok=True" in report and "rf=0" in report
+        # bins.csv flags exactly the bins at the abundance threshold, and
+        # the selected bin is one of them
+        params = dict(line.split("=", 1) for line in
+                      (out / "params.txt").read_text().splitlines())
+        bp = BinningParams(**{key: float(value) for key, value in
+                              params.items()})
+        threshold = bp.abundance_threshold(20_000)
+        rows = (out / "bins.csv").read_text().splitlines()
+        assert rows[0] == "bin_index,lower_edge,upper_edge,count,is_abundant"
+        abundant = set()
+        for row in rows[2:]:
+            j, _, _, count, flag = row.split(",")
+            assert flag == str(int(count) >= threshold)
+            if flag == "True":
+                abundant.add(j)
+        chosen = [line.split("=", 1)[1] for line in report.splitlines()
+                  if line.startswith("abundant_bin=")]
+        assert len(chosen) == 1 and chosen[0] in abundant
 
     def test_missing_big_m_is_usage_error(self, sim_dir, tmp_path):
         code = run_cli([

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from rasphy import (PipelineConfig, RateDistribution, RegularityParams,
-                    SubstitutionModel, generate_complete_binary,
+import rasphy.clustering
+from rasphy import (EmptyPairSet, PipelineConfig, RateDistribution,
+                    RegularityParams, SubstitutionModel,
+                    generate_complete_binary,
                     generate_random_regular, identifiability_witness,
                     oracle_sparsify, parse_newick, run_pipeline,
                     simulate_alignment, site_classification_report)
@@ -54,6 +56,33 @@ class TestRunPipeline:
             assert statuses[report.error.stage] == "failed"
             skipped = [rec for rec in report.stages if rec.status == "skipped"]
             assert all(rec.reason for rec in skipped)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        tree, aln, rates = make_instance(n=16, k=2000, seed=9)
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(rasphy.clustering, "sparsify", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_pipeline(aln, PipelineConfig(reg=REG, rates=rates))
+
+    def test_empty_pair_set_is_recorded_at_sparsify(self):
+        # every leaf pair is at distance >= 1.8, far beyond the close
+        # level exp(-4.5g) that g=0.2 sets: no candidate pair survives
+        tree = generate_complete_binary(5, 0.9)
+        rates = RateDistribution.constant()
+        aln = simulate_alignment(tree, SubstitutionModel.uniform(4), rates,
+                                 2000, seed=1)
+        report = run_pipeline(aln, PipelineConfig(reg=REG, rates=rates),
+                              truth=tree)
+        assert not report.ok
+        assert report.error.stage == "sparsify"
+        assert isinstance(report.error.cause, EmptyPairSet)
+        assert len(report.stages) == 10
+        statuses = [rec.status for rec in report.stages]
+        assert statuses == ["ok", "ok", "failed"] + ["skipped"] * 7
+        assert report.stages[1].detail == {"candidate_pairs": 0}
 
     def test_assumption_gate(self):
         tree, aln, rates = make_instance(n=16, k=500, seed=9)

@@ -203,9 +203,12 @@ class TestFourPoint:
         assert four_point_topology(d, 0, 1, 2, 3) == ((0, 1), (2, 3))
 
     def test_star_metric_unresolved(self):
-        d = np.full((4, 4), 2.0)
-        np.fill_diagonal(d, 0.0)
-        assert four_point_topology(d, 0, 1, 2, 3) is None
+        # at 1e308 every pair sum overflows to inf, which is still a tie
+        for length in (2.0, 1e308):
+            d = np.full((4, 4), length)
+            np.fill_diagonal(d, 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert four_point_topology(d, 0, 1, 2, 3) is None
 
     def test_perturbation_extremes_keep_split(self):
         # internal edge 2; noise below half of it can never flip the split
