@@ -49,7 +49,7 @@ print(f"rate named by the bin midpoint (oracle inversion): {named:.3f}")
 
 # distances from the bin, compared against the rescaled truth
 qstar = rp.bin_agreement(aln, bin_sites, model)
-dhat = rp.distorted_metric(qstar, source_bin=star, bin_size=len(bin_sites))
+dhat = rp.distorted_metric(qstar)
 lam_star = float(lam_in_bin.mean())
 scaled_truth = lam_star * rp.tree_metric(tree)
 

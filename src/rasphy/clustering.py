@@ -70,7 +70,6 @@ class AgreementMatrix:
     """
 
     values: np.ndarray
-    sample_count: int
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,9 @@ class ClusteringThresholds:
 
 @dataclass(frozen=True)
 class PairSet:
-    """Unordered distinct leaf pairs, each stored as ``(a, b)`` with a < b.
-
-    ``provenance`` records whether the set came from the data-driven
-    path ("data-driven") or from true distances ("oracle").
-    """
+    """Unordered distinct leaf pairs, each stored as ``(a, b)`` with a < b."""
 
     pairs: tuple
-    provenance: str = "data-driven"
 
     def __post_init__(self):
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
@@ -190,7 +184,7 @@ def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> AgreementMatri
         counts += hot.T @ hot
     q = (counts / k - model.q_inf) / model.p_inf
     np.fill_diagonal(q, 1.0)
-    return AgreementMatrix(values=q, sample_count=k)
+    return AgreementMatrix(values=q)
 
 
 def close_pairs(q: AgreementMatrix, t: ClusteringThresholds) -> PairSet:
@@ -204,7 +198,7 @@ def close_pairs(q: AgreementMatrix, t: ClusteringThresholds) -> PairSet:
     a_idx, b_idx = np.triu_indices(n, k=1)
     keep = vals[a_idx, b_idx] >= t.close_level
     pairs = tuple(zip(a_idx[keep].tolist(), b_idx[keep].tolist()))
-    return PairSet(pairs, provenance="data-driven")
+    return PairSet(pairs)
 
 
 def sparsify(candidates: PairSet, q: AgreementMatrix,
@@ -220,7 +214,7 @@ def sparsify(candidates: PairSet, q: AgreementMatrix,
     if len(candidates) == 0:
         raise EmptyPairSet("candidate pair set is empty")
     kept = _greedy_thin(candidates, q.values, t.prune_level)
-    return PairSet(kept, provenance=candidates.provenance)
+    return PairSet(kept)
 
 
 def _greedy_thin(pairs, closeness: np.ndarray, level: float) -> tuple:
@@ -264,7 +258,7 @@ def oracle_sparsify(p: Phylogeny, params: RegularityParams,
     pairs = zip(a_idx[within].tolist(), b_idx[within].tolist())
     # nearest first, and "within m" crowds: on negated distances this
     # is the thinning of ``sparsify``, exactly, as negation is exact
-    return PairSet(_greedy_thin(pairs, -dist, -m), provenance="oracle")
+    return PairSet(_greedy_thin(pairs, -dist, -m))
 
 
 def certify_sparsity(pairs: PairSet, p: Phylogeny,

@@ -35,13 +35,10 @@ class DistortedMetric:
     """Symmetric leaf-pair distance estimates in ``(0, +inf]``.
 
     ``values`` is an ``(n, n)`` array with zero diagonal (by convention)
-    and possibly infinite off-diagonal entries.  ``source_bin`` and
-    ``bin_size`` record which site bin produced the estimate.
+    and possibly infinite off-diagonal entries.
     """
 
     values: np.ndarray
-    source_bin: int = -1
-    bin_size: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -96,8 +93,7 @@ def bin_agreement(aln: Alignment, bin_sites, model: SubstitutionModel) -> np.nda
     return agreement_matrix(sub, model).values
 
 
-def distorted_metric(qstar: np.ndarray, source_bin: int = -1,
-                     bin_size: int = 0) -> DistortedMetric:
+def distorted_metric(qstar: np.ndarray) -> DistortedMetric:
     """Map bin agreement to distances: ``dhat = -log(max(qstar, 0))``.
 
     Nonpositive agreement gives ``+inf`` (the pair is beyond the trust
@@ -113,7 +109,7 @@ def distorted_metric(qstar: np.ndarray, source_bin: int = -1,
         d = np.where(q > 0.0, -np.log(np.minimum(q, 1.0)), np.inf)
     d[q >= 1.0] = MIN_POSITIVE_DISTANCE
     np.fill_diagonal(d, 0.0)
-    return DistortedMetric(values=d, source_bin=source_bin, bin_size=bin_size)
+    return DistortedMetric(values=d)
 
 
 def verify_distortion(dhat: DistortedMetric, true_scaled: np.ndarray,

@@ -323,21 +323,6 @@ class Alignment:
         return Alignment(self.data, self.r, None)
 
 
-def _preorder_edges(p: Phylogeny, root: int):
-    """Edges (parent, child, weight) in a traversal order from ``root``."""
-    out = []
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v, w in p.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                out.append((u, v, w))
-                stack.append(v)
-    return out
-
-
 def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
                        rates: RateDistribution, k: int, seed: int) -> Alignment:
     """Simulate ``k`` independent sites of the scaled Poisson process.
@@ -349,15 +334,15 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     walk the tree copying each parent state with probability
     ``exp(-lam * mu_e)`` and redrawing from ``pi`` otherwise.
 
-    The root is a fixed internal vertex; by reversibility of the channel
-    the leaf distribution does not depend on this choice.
+    The walk starts at :attr:`Phylogeny.root`; by reversibility of the
+    channel the leaf distribution does not depend on this choice.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = p.n_leaves
     n_vertices = p.n_vertices
-    root = n  # first internal vertex
-    edges = _preorder_edges(p, root)
+    root = p.root
+    edges = p.preorder_edges()
     cum_pi = np.cumsum(model.pi)
     cum_pi[-1] = 1.0
 
@@ -415,7 +400,7 @@ def exact_leaf_distribution(p: Phylogeny, model: SubstitutionModel,
                          "rate distribution")
     support, probs = fs
     if root is None:
-        root = n
+        root = p.root
     r = model.r
     pi = np.asarray(model.pi)
 

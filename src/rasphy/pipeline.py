@@ -164,9 +164,7 @@ _STAGES = (
          s["aln"], s["bin_sites"].bins[s["select_abundant"]], s["model"]),
      None, None),
     ("distorted_metric", "dhat",
-     lambda s: _distances.distorted_metric(
-         s["bin_agreement"], source_bin=s["select_abundant"],
-         bin_size=len(s["bin_sites"].bins[s["select_abundant"]])),
+     lambda s: _distances.distorted_metric(s["bin_agreement"]),
      None, None),
     ("reconstruct_topology", "topology",
      lambda s: _reconstruct.reconstruct_topology(
@@ -234,7 +232,7 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
 def _oracle_diagnostics(report: PipelineReport, aln: Alignment,
                         cfg: PipelineConfig, truth: Phylogeny):
     if report.topology is not None:
-        report.rf_distance = robinson_foulds(report.topology, truth.topology())
+        report.rf_distance = robinson_foulds(report.topology, truth)
     if report.pair_set is not None:
         report.certificate = _clustering.certify_sparsity(
             report.pair_set, truth, cfg.reg)

@@ -19,6 +19,14 @@ per site.  The module provides
   and lets every other exception propagate (defined here because the
   binning, clustering and reconstruction modules all import this one).
 
+Construction roots each tree once, at internal vertex ``n``, with one
+depth-first walk that records every vertex's parent, edge weight, depth
+and block of the walk's leaf order.  ``tree_metric``, ``Phylogeny.splits``,
+``Phylogeny.path_edges`` and the simulator's ``Phylogeny.preorder_edges``
+all read that record.  In this module only Newick writing and parsing,
+the generators and the reference ``Phylogeny.leaf_distances_from`` walk
+the tree themselves.
+
 Everything is immutable after construction and safe to share across
 threads; the random generator takes an explicit seed.
 """
@@ -89,6 +97,13 @@ class Phylogeny:
     in the order of ``labels``.  Internal vertices have degree exactly 3,
     leaves degree 1.  Instances are immutable.
 
+    Construction roots the tree at internal vertex ``n`` (:attr:`root`)
+    with one depth-first walk, which also checks connectivity.  For each
+    vertex the walk records its parent, the weight of the edge to it, its
+    depth, and its block ``lo:hi`` of the walk's leaf order (the leaves
+    below it are leaves ``lo .. hi-1`` in the order the walk meets them).
+    Every structure query reads this record instead of walking again.
+
     Parameters
     ----------
     edges : iterable of (int, int, float)
@@ -97,7 +112,8 @@ class Phylogeny:
         Leaf labels; ``labels[i]`` names leaf vertex ``i``.
     """
 
-    __slots__ = ("labels", "edges", "_adj", "_label_to_leaf")
+    __slots__ = ("labels", "edges", "_adj", "_label_to_leaf", "_order",
+                 "_parent", "_weight", "_depth", "_lo", "_hi")
 
     def __init__(self, edges, labels):
         labels = tuple(str(x) for x in labels)
@@ -126,24 +142,41 @@ class Phylogeny:
             if deg != want:
                 kind = "leaf" if vid < n else "internal vertex"
                 raise ValueError(f"{kind} {vid} has degree {deg}, expected {want}")
-        # connectivity (acyclicity follows from |E| = |V| - 1)
-        seen = [False] * n_vertices
-        stack = [0]
-        seen[0] = True
-        count = 1
+        root = n
+        parent = [root] * n_vertices
+        weight = [0.0] * n_vertices
+        depth = [-1] * n_vertices  # -1: not reached yet
+        lo = [0] * n_vertices
+        order = []
+        stack = [root]
+        depth[root] = 0
+        leaves_seen = 0
         while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        if count != n_vertices:
+            x = stack.pop()
+            order.append(x)
+            lo[x] = leaves_seen
+            if x < n:
+                leaves_seen += 1
+            for y, w in adj[x]:
+                if depth[y] < 0:
+                    parent[y], weight[y], depth[y] = x, w, depth[x] + 1
+                    stack.append(y)
+        # acyclicity follows from |E| = |V| - 1
+        if len(order) != n_vertices:
             raise ValueError("tree is not connected")
+        hi = [lo[x] + 1 if x < n else lo[x] for x in range(n_vertices)]
+        for c in reversed(order[1:]):  # every descendant of c comes first
+            hi[parent[c]] = max(hi[parent[c]], hi[c])
         self.labels = labels
         self.edges = edges
         self._adj = tuple(tuple(nbrs) for nbrs in adj)
         self._label_to_leaf = {lab: i for i, lab in enumerate(labels)}
+        self._order = tuple(order)
+        self._parent = tuple(parent)
+        self._weight = tuple(weight)
+        self._depth = tuple(depth)
+        self._lo = tuple(lo)
+        self._hi = tuple(hi)
 
     # -- basic accessors -------------------------------------------------
 
@@ -154,6 +187,11 @@ class Phylogeny:
     @property
     def n_vertices(self) -> int:
         return 2 * len(self.labels) - 2
+
+    @property
+    def root(self) -> int:
+        """The internal vertex the tree is rooted at, vertex ``n``."""
+        return self._order[0]
 
     def neighbors(self, v: int):
         """Neighbors of vertex ``v`` as ``((vertex, weight), ...)``."""
@@ -170,22 +208,49 @@ class Phylogeny:
     def path_edges(self, u: int, v: int) -> frozenset:
         """Edge set of the path between vertices u and v.
 
-        Edges are canonicalized as ``(min_id, max_id)`` tuples.
+        Edges are canonicalized as ``(min_id, max_id)`` tuples.  The path
+        is found by climbing parent pointers from the deeper end until
+        the two ends meet.
         """
-        parent = {u: None}
-        stack = [u]
-        while v not in parent:
-            x = stack.pop()
-            for y, _ in self._adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    stack.append(y)
-        out = []
-        x = v
-        while parent[x] is not None:
-            p = parent[x]
-            out.append((x, p) if x < p else (p, x))
-            x = p
+        parent, depth = self._parent, self._depth
+        from_u, from_v = [], []
+        while u != v:
+            if depth[u] >= depth[v]:
+                p = parent[u]
+                from_u.append((u, p) if u < p else (p, u))
+                u = p
+            else:
+                p = parent[v]
+                from_v.append((v, p) if v < p else (p, v))
+                v = p
+        # in path order from v to u, which fixes the set's iteration order
+        return frozenset(from_v + from_u[::-1])
+
+    def preorder_edges(self) -> tuple:
+        """Edges ``(parent, child, weight)`` away from :attr:`root`,
+        each parent's edge listed before its children's."""
+        return tuple((self._parent[c], c, self._weight[c])
+                     for c in self._order[1:])
+
+    def splits(self) -> frozenset:
+        """Nontrivial bipartitions (weights are ignored), each as the
+        label side not holding the lexicographically smallest leaf label.
+
+        The edge above internal vertex ``c`` of the rooted walk splits
+        off the leaves ``lo:hi`` of the walk's leaf order.
+        """
+        n = self.n_leaves
+        leaves = [self.labels[x] for x in self._order if x < n]
+        ref = leaves.index(min(self.labels))
+        out = set()
+        for c in self._order[1:]:
+            if c < n:
+                continue  # pendant edge: trivial split
+            lo, hi = self._lo[c], self._hi[c]
+            if lo <= ref < hi:
+                out.add(frozenset(leaves[:lo] + leaves[hi:]))
+            else:
+                out.add(frozenset(leaves[lo:hi]))
         return frozenset(out)
 
     def leaf_distances_from(self, leaf: int) -> np.ndarray:
@@ -247,14 +312,15 @@ class Topology:
     nontrivial bipartitions (splits) used for tree comparison.
     """
 
-    __slots__ = ("labels", "edges", "_adj")
+    __slots__ = ("labels", "edges", "_adj", "_tree")
 
     def __init__(self, edges, labels):
-        weighted = tuple((u, v, 1.0) for u, v in edges)
-        probe = Phylogeny(weighted, labels)  # reuse the structural checks
-        self.labels = probe.labels
-        self.edges = tuple((u, v) for u, v, _ in probe.edges)
-        self._adj = probe._adj
+        # the unit-weight tree carries the structural checks and the walk
+        tree = Phylogeny(tuple((u, v, 1.0) for u, v in edges), labels)
+        self.labels = tree.labels
+        self.edges = tuple((u, v) for u, v, _ in tree.edges)
+        self._adj = tree._adj
+        self._tree = tree
 
     @property
     def n_leaves(self) -> int:
@@ -304,40 +370,12 @@ class Topology:
         return cls(tuple(edges), labels)
 
     def splits(self) -> frozenset:
-        """Nontrivial bipartitions, each as the label side not holding
-        the lexicographically smallest leaf label."""
-        ref = min(self.labels)
-        n = self.n_leaves
-        out = set()
-        # orient each internal edge and gather the leaf set on one side
-        for u, v in self.edges:
-            if u < n or v < n:
-                continue  # pendant edge: trivial split
-            side = self._leaves_beyond(v, u)
-            if ref in side:
-                side = frozenset(set(self.labels) - set(side))
-            if len(side) >= 2 and len(side) <= n - 2:
-                out.add(side)
-        return frozenset(out)
-
-    def _leaves_beyond(self, start: int, blocked: int) -> frozenset:
-        found = []
-        stack = [start]
-        seen = {start, blocked}
-        while stack:
-            x = stack.pop()
-            if x < self.n_leaves:
-                found.append(self.labels[x])
-            for y, _ in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(found)
+        """Nontrivial bipartitions; see :meth:`Phylogeny.splits`."""
+        return self._tree.splits()
 
     def to_newick(self) -> str:
         """Newick with unit branch lengths."""
-        weighted = tuple((u, v, 1.0) for u, v in self.edges)
-        return Phylogeny(weighted, self.labels).to_newick()
+        return self._tree.to_newick()
 
     def __eq__(self, other):
         if not isinstance(other, Topology):
@@ -397,53 +435,37 @@ def parse_newick(text: str) -> Phylogeny:
             raise NewickError(f"nonpositive branch length {value}", start)
         return value
 
-    # children: list of (subtree, weight); subtree is a label or a list
-    def parse_node():
+    # a group is (children, position of its "("); children is a list of
+    # (subtree, weight) and a subtree is a label or a group
+    def parse_group():
         nonlocal pos
+        open_at = pos
+        pos += 1
+        children = []
+        while True:
+            child = parse_node()
+            children.append((child, parse_length(pos)))
+            skip_ws()
+            if pos >= n_chars:
+                raise NewickError("unterminated group", open_at)
+            if text[pos] == ",":
+                pos += 1
+            elif text[pos] == ")":
+                pos += 1
+                return children, open_at
+            else:
+                raise NewickError(f"unexpected character {text[pos]!r}", pos)
+
+    def parse_node():
         skip_ws()
         if pos >= n_chars:
             raise NewickError("unexpected end of input", pos)
-        if text[pos] == "(":
-            open_at = pos
-            pos += 1
-            children = []
-            while True:
-                child = parse_node()
-                w = parse_length(pos)
-                children.append((child, w))
-                skip_ws()
-                if pos >= n_chars:
-                    raise NewickError("unterminated group", open_at)
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == ")":
-                    pos += 1
-                    break
-                raise NewickError(f"unexpected character {text[pos]!r}", pos)
-            return children
-        return parse_label()
+        return parse_group() if text[pos] == "(" else parse_label()
 
     skip_ws()
     if pos >= n_chars or text[pos] != "(":
         raise NewickError("tree must start with '('", pos)
-    open_at = pos
-    pos += 1
-    root_children = []
-    while True:
-        child = parse_node()
-        w = parse_length(pos)
-        root_children.append((child, w))
-        skip_ws()
-        if pos >= n_chars:
-            raise NewickError("unterminated group", open_at)
-        if text[pos] == ",":
-            pos += 1
-            continue
-        if text[pos] == ")":
-            pos += 1
-            break
-        raise NewickError(f"unexpected character {text[pos]!r}", pos)
+    root_children, open_at = parse_group()
     skip_ws()
     if pos >= n_chars or text[pos] != ";":
         raise NewickError("missing ';' terminator", pos)
@@ -455,11 +477,10 @@ def parse_newick(text: str) -> Phylogeny:
         if isinstance(node, str):
             labels.append(node)
         else:
-            for child, _ in node:
+            for child, _ in node[0]:
                 count_leaves(child)
 
-    for child, _ in root_children:
-        count_leaves(child)
+    count_leaves((root_children, open_at))
     if len(labels) < 3:
         raise NewickError(
             f"fewer than 3 leaves ({len(labels)}) cannot form a "
@@ -477,13 +498,14 @@ def parse_newick(text: str) -> Phylogeny:
     def realize(node) -> int:
         if isinstance(node, str):
             return next(leaf_iter)
-        if len(node) != 2:
+        children, at = node
+        if len(children) != 2:
             raise NewickError(
-                f"internal vertex with {len(node)} children is not binary", open_at
+                f"internal vertex with {len(children)} children is not binary", at
             )
         vid = next_internal[0]
         next_internal[0] += 1
-        for child, w in node:
+        for child, w in children:
             edges.append((vid, realize(child), w))
         return vid
 
@@ -517,11 +539,11 @@ def tree_metric(p: Phylogeny) -> np.ndarray:
     """All-pairs leaf distance matrix (path sums of edge weights).
 
     Returns a symmetric ``(n, n)`` array with zero diagonal, indexed by
-    leaf id.  The tree is rooted at an internal vertex and its leaves are
-    put in depth-first order, so the leaves below each vertex ``c`` form
-    one contiguous block ``S_c``.  Two passes over the edges then fill
-    the distance from every leaf to every vertex, where ``p`` is the
-    parent of ``c`` and ``w`` their edge weight:
+    leaf id.  It reads the rooted walk that :class:`Phylogeny` records:
+    the leaves below each vertex ``c`` form one block ``S_c`` of the
+    walk's leaf order.  Two passes over the walk then fill the distance
+    from every leaf to every vertex, where ``p`` is the parent of ``c``
+    and ``w`` their edge weight:
 
     * children first, ``D[p, S_c] = D[c, S_c] + w``;
     * parents first, ``D[c, ~S_c] = D[p, ~S_c] + w``.
@@ -531,37 +553,21 @@ def tree_metric(p: Phylogeny) -> np.ndarray:
     the symmetrised per-leaf walks bit for bit.
     """
     n, n_vertices = p.n_leaves, p.n_vertices
-    root = n  # an internal vertex
-    parent = [root] * n_vertices
-    weight = [0.0] * n_vertices
-    lo = [0] * n_vertices  # leaves before the vertex in depth-first order
-    order = []
-    stack = [root]
-    seen = 0
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        lo[x] = seen
-        if x < n:
-            seen += 1
-        for y, w in p.neighbors(x):
-            if y != parent[x]:
-                parent[y], weight[y] = x, w
-                stack.append(y)
-    hi = [lo[x] + 1 if x < n else lo[x] for x in range(n_vertices)]
+    order, parent, weight = p._order, p._parent, p._weight
+    lo, hi = p._lo, p._hi
+    leaf_at = list(lo[:n])  # position of each leaf in the walk's leaf order
 
-    # D[x, i]: distance from the i-th leaf in depth-first order to vertex x
+    # D[x, i]: distance from the i-th leaf in the walk's order to vertex x
     dist = np.empty((n_vertices, n))
-    dist[np.arange(n), lo[:n]] = 0.0
+    dist[np.arange(n), leaf_at] = 0.0
     for c in reversed(order[1:]):  # every descendant of c comes first
-        pc, s = parent[c], slice(lo[c], hi[c])
-        hi[pc] = max(hi[pc], hi[c])
-        dist[pc, s] = dist[c, s] + weight[c]
+        s = slice(lo[c], hi[c])
+        dist[parent[c], s] = dist[c, s] + weight[c]
     for c in order[1:]:
         pc, w = parent[c], weight[c]
         dist[c, :lo[c]] = dist[pc, :lo[c]] + w
         dist[c, hi[c]:] = dist[pc, hi[c]:] + w
-    out = dist[:n, lo[:n]].T
+    out = dist[:n, leaf_at].T
     # paths summed from either end may differ in the last bit
     return (out + out.T) / 2.0
 
@@ -611,10 +617,6 @@ def robinson_foulds(t1, t2) -> int:
     Accepts :class:`Topology` or :class:`Phylogeny` arguments (weights
     are ignored).  Zero iff the topologies are identical.
     """
-    if isinstance(t1, Phylogeny):
-        t1 = t1.topology()
-    if isinstance(t2, Phylogeny):
-        t2 = t2.topology()
     if set(t1.labels) != set(t2.labels):
         raise ValueError("trees have different leaf label sets")
     return len(t1.splits() ^ t2.splits())

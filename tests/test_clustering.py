@@ -75,7 +75,7 @@ class TestClosePairs:
         vals[0, 2] = vals[2, 0] = t.close_level - 1e-9
         vals[1, 2] = vals[2, 1] = 0.0
         np.fill_diagonal(vals, 1.0)
-        got = close_pairs(AgreementMatrix(vals, 10), t)
+        got = close_pairs(AgreementMatrix(vals), t)
         assert got.pairs == ((0, 1),)
 
     def test_exact_phi_below_4g_included(self):
@@ -86,7 +86,7 @@ class TestClosePairs:
         d = tree_metric(tree)
         vals = np.exp(-d)
         np.fill_diagonal(vals, 1.0)
-        got = close_pairs(AgreementMatrix(vals, 10**6), t)
+        got = close_pairs(AgreementMatrix(vals), t)
         for a in range(8):
             for b in range(a + 1, 8):
                 if d[a, b] <= 4 * g:
@@ -100,7 +100,7 @@ class TestClosePairs:
         vals = np.eye(4)
         for j, dist in enumerate(dists, start=1):
             vals[0, j] = vals[j, 0] = two_speed.phi(dist)
-        got = close_pairs(AgreementMatrix(vals, 10**6), t)
+        got = close_pairs(AgreementMatrix(vals), t)
         assert got.pairs == ()
 
 
@@ -112,7 +112,7 @@ class TestSparsify:
         for a, b in ((0, 1), (2, 3), (4, 5)):
             vals[a, b] = vals[b, a] = 0.9
         cand = PairSet(((0, 1), (2, 3), (4, 5)))
-        got = sparsify(cand, AgreementMatrix(vals, 100), t)
+        got = sparsify(cand, AgreementMatrix(vals), t)
         assert set(got.pairs) == {(0, 1), (2, 3), (4, 5)}
 
     def test_overlapping_pairs_one_survives(self):
@@ -121,12 +121,12 @@ class TestSparsify:
         np.fill_diagonal(vals, 1.0)
         vals[0, 1] = vals[1, 0] = 0.9
         vals[1, 2] = vals[2, 1] = 0.8
-        got = sparsify(PairSet(((0, 1), (1, 2))), AgreementMatrix(vals, 100), t)
+        got = sparsify(PairSet(((0, 1), (1, 2))), AgreementMatrix(vals), t)
         assert got.pairs == ((0, 1),)  # higher agreement wins the pick
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            sparsify(PairSet(()), AgreementMatrix(np.eye(2), 1), thresholds())
+            sparsify(PairSet(()), AgreementMatrix(np.eye(2)), thresholds())
 
     def test_simulated_output_passes_certificate(self, jc, two_speed):
         params = RegularityParams(0.2, 0.2, 1.5)

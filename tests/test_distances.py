@@ -152,8 +152,7 @@ class TestVerifyDistortion:
             aln = simulate_alignment(tree, model, rates, 150_000,
                                      seed=31 + seed)
             idx = np.flatnonzero(aln.hidden_lambdas == lam_star)
-            dhat = distorted_metric(bin_agreement(aln, idx, model),
-                                    bin_size=len(idx))
+            dhat = distorted_metric(bin_agreement(aln, idx, model))
             report = verify_distortion(
                 dhat, lam_star * metric,
                 tau=lam_star * f / 5.0,

@@ -52,10 +52,45 @@ class TestNewick:
             parse_newick("((a:1,b:1,c:1,d:1):1,e:1,f:1);")
         with pytest.raises(NewickError, match="not binary"):
             parse_newick("(a:1,b:1,c:1,d:1);")
+        # the error points at the offending group, not at the root
+        with pytest.raises(NewickError, match="not binary") as err:
+            parse_newick("((a:1,b:1,c:1):1,d:1,e:1);")
+        assert err.value.position == 1
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(NewickError, match="duplicate"):
             parse_newick("((a:1,a:1):1,c:1);")
+
+
+def _caterpillar(labels):
+    """Caterpillar with ``labels[0]`` and ``labels[1]`` in the deep cherry
+    and the last two labels beside the root vertex n."""
+    n = len(labels)
+    text = f"({labels[0]}:1,{labels[1]}:1)"
+    for lab in labels[2:n - 2]:
+        text = f"({lab}:1,{text}:1)"
+    return parse_newick(f"({labels[-2]}:1,{labels[-1]}:1,{text}:1);")
+
+
+class TestStructure:
+    def test_two_components_rejected(self):
+        # every degree and the edge count are right: a triangle 6-7-8
+        # carrying leaves a, b, c, and a star at 9 carrying d, e, f
+        edges = [(6, 7, 1.0), (7, 8, 1.0), (8, 6, 1.0), (0, 6, 1.0),
+                 (1, 7, 1.0), (2, 8, 1.0), (9, 3, 1.0), (9, 4, 1.0),
+                 (9, 5, 1.0)]
+        with pytest.raises(ValueError, match="tree is not connected"):
+            Phylogeny(edges, "abcdef")
+
+    def test_preorder_edges_cover_tree_parents_first(self, five_leaf):
+        edges = five_leaf.preorder_edges()
+        reached = {five_leaf.root}
+        for parent, child, w in edges:
+            assert parent in reached and child not in reached
+            reached.add(child)
+        assert reached == set(range(five_leaf.n_vertices))
+        assert sorted((min(u, v), max(u, v), w) for u, v, w in edges) == \
+            sorted((min(u, v), max(u, v), w) for u, v, w in five_leaf.edges)
 
 
 class TestTreeMetric:
@@ -260,9 +295,21 @@ class TestRobinsonFoulds:
 
     def test_matches_bipartition_oracle(self):
         params = RegularityParams(0.1, 0.2, 1.2)
-        for seed in range(10):
-            t1 = generate_random_regular(16, params, seed=seed)
-            t2 = generate_random_regular(16, params, seed=seed + 100)
+        pairs = [(generate_random_regular(16, params, seed=seed),
+                  generate_random_regular(16, params, seed=seed + 100))
+                 for seed in range(10)]
+        # the smallest label at the deep end of a long root path, where
+        # every internal split is taken as its complement (once as each
+        # leaf of its cherry), and at the top
+        labels = [f"t{i:02d}" for i in range(64)]
+        top = _caterpillar(labels[::-1])
+        pairs.append((_caterpillar(labels), top))
+        pairs.append((_caterpillar(labels[1::-1] + labels[2:]), top))
+        pairs.append((generate_random_regular(512, params, seed=0),
+                      generate_random_regular(512, params, seed=1)))
+        for t1, t2 in pairs:
+            for t in (t1, t2):
+                assert t.topology().splits() == brute_force_splits(t)
             want = len(brute_force_splits(t1) ^ brute_force_splits(t2))
             assert robinson_foulds(t1, t2) == want
 
@@ -297,6 +344,29 @@ class TestPathsDisjoint:
     def test_vertex_sharing_allowed(self, quartet):
         # (a,b) and (c,d) paths meet the internal edge's endpoints only
         assert paths_disjoint(quartet, ("a", "b"), ("c", "d"))
+
+    def test_path_edges_match_breadth_first_search(self):
+        params = RegularityParams(0.1, 0.2, 1.2)
+        trees = [generate_random_regular(n, params, seed=n) for n in (4, 7, 12)]
+        trees.append(_caterpillar("abcdefgh"))
+        for tree in trees:
+            for u in range(tree.n_vertices):
+                back = {u: None}  # breadth-first tree from u
+                frontier = [u]
+                while frontier:
+                    nxt = []
+                    for x in frontier:
+                        for y, _ in tree.neighbors(x):
+                            if y not in back:
+                                back[y] = x
+                                nxt.append(y)
+                    frontier = nxt
+                for v in range(tree.n_vertices):
+                    want, x = set(), v
+                    while back[x] is not None:
+                        want.add((min(x, back[x]), max(x, back[x])))
+                        x = back[x]
+                    assert tree.path_edges(u, v) == want
 
     def test_repeated_leaf_rejected(self, quartet):
         with pytest.raises(ValueError, match="distinct"):
