@@ -88,10 +88,28 @@ def format_rates_spec(rates: RateDistribution) -> str:
 
 
 def write_alignment(path, aln: Alignment):
-    with open(path, "w") as fh:
-        fh.write(f"{aln.k} {aln.n} {aln.r}\n")
-        for row in aln.data:
-            fh.write(" ".join(map(str, row.tolist())) + "\n")
+    data = aln.data
+    k, n = data.shape
+    # Each state's decimal digits, left-aligned and padded with zero bytes.
+    # A row is laid out as cells [separator, digits] and a newline, with no
+    # separator before the first cell; dropping the zero bytes then leaves
+    # the text, so a block of rows is formatted in a few array passes.
+    top = int(data.max()) if data.size else 0
+    width = len(str(top))
+    digits = (np.array([str(v) for v in range(top + 1)], dtype=f"S{width}")
+              .view(np.uint8).reshape(top + 1, width))
+    block_rows = max(1, (1 << 20) // max(1, n))
+    with open(path, "wb") as fh:
+        fh.write(f"{k} {n} {aln.r}\n".encode())
+        for start in range(0, k, block_rows):
+            block = data[start:start + block_rows]
+            line = np.empty((len(block), n * (width + 1) + 1), dtype=np.uint8)
+            cells = line[:, :-1].reshape(len(block), n, width + 1)
+            cells[:, :1, 0] = 0
+            cells[:, 1:, 0] = ord(" ")
+            cells[:, :, 1:] = digits[block]
+            line[:, -1] = ord("\n")
+            fh.write(line[line != 0].tobytes())
 
 
 def read_alignment(path) -> Alignment:

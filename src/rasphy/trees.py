@@ -24,8 +24,10 @@ depth-first walk that records every vertex's parent, edge weight, depth
 and block of the walk's leaf order.  ``tree_metric``, ``Phylogeny.splits``,
 ``Phylogeny.path_edges`` and the simulator's ``Phylogeny.preorder_edges``
 all read that record.  In this module only Newick writing and parsing,
-the generators and the reference ``Phylogeny.leaf_distances_from`` walk
-the tree themselves.
+``Topology.from_nested``, the generators and the reference
+``Phylogeny.leaf_distances_from`` walk the tree themselves.  The first
+three keep explicit stacks, so no tree depth reaches Python's recursion
+limit.
 
 Everything is immutable after construction and safe to share across
 threads; the random generator takes an explicit seed.
@@ -283,26 +285,41 @@ class Phylogeny:
         Children are ordered by smallest descendant label, which makes
         the output canonical for a given vertex numbering.
         """
+        n, adj, labels = self.n_leaves, self._adj, self.labels
         leaf0 = 0
-        (nbr, w0), = self._adj[leaf0]
-
-        def render(v: int, parent: int) -> tuple[str, str]:
-            # returns (newick fragment without branch length, min label below)
-            if v < self.n_leaves:
-                return self.labels[v], self.labels[v]
-            parts = []
-            for u, w in self._adj[v]:
-                if u == parent:
-                    continue
-                frag, lo = render(u, v)
-                parts.append((lo, f"{frag}:{w!r}"))
-            parts.sort()
-            inner = ",".join(frag for _, frag in parts)
-            return f"({inner})", parts[0][0]
+        (nbr, w0), = adj[leaf0]
+        # smallest label below each vertex, hanging the tree from leaf 0
+        walk = [(nbr, leaf0)]
+        for v, parent in walk:  # grows while it runs: a breadth-first walk
+            if v >= n:
+                walk.extend((u, v) for u, _ in adj[v] if u != parent)
+        low = {}
+        for v, parent in reversed(walk):
+            low[v] = labels[v] if v < n else min(
+                low[u] for u, _ in adj[v] if u != parent)
 
         half = w0 / 2.0
-        sub, _ = render(nbr, leaf0)
-        return f"({self.labels[leaf0]}:{half!r},{sub}:{half!r});"
+        out = [f"({labels[leaf0]}:{half!r},"]
+        todo = [f":{half!r});", (nbr, leaf0)]  # a stack of text and subtrees
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            v, parent = item
+            if v < n:
+                out.append(labels[v])
+                continue
+            kids = sorted((low[u], u, w) for u, w in adj[v] if u != parent)
+            out.append("(")
+            todo.append(")")
+            for i in range(len(kids) - 1, -1, -1):
+                _, u, w = kids[i]
+                todo.append(f":{w!r}")
+                todo.append((u, v))
+                if i:
+                    todo.append(",")
+        return "".join(out)
 
 
 class Topology:
@@ -334,39 +351,38 @@ class Topology:
         vertex); every other group is a pair.  Strings are leaf labels.
         """
         labels: list[str] = []
-
-        def collect(node):
+        todo = [nested]
+        while todo:
+            node = todo.pop()
             if isinstance(node, str):
                 labels.append(node)
             else:
-                for child in node:
-                    collect(child)
-
-        collect(nested)
+                todo.extend(reversed(tuple(node)))
         n = len(labels)
         if n < 3:
             raise ValueError("need at least 3 leaves")
         leaf_of = {lab: i for i, lab in enumerate(labels)}
-        edges = []
-        next_id = [n]
-
-        def build(node) -> int:
-            if isinstance(node, str):
-                return leaf_of[node]
-            if len(node) != 2:
-                raise ValueError("internal groups must be pairs")
-            vid = next_id[0]
-            next_id[0] += 1
-            for child in node:
-                edges.append((vid, build(child)))
-            return vid
-
         if not isinstance(nested, tuple) or len(nested) != 3:
             raise ValueError("top level must be a tuple of 3 groups")
-        center = next_id[0]
-        next_id[0] += 1
-        for child in nested:
-            edges.append((center, build(child)))
+        # ids in preorder; a group's edge to its parent is listed after the
+        # group's own edges
+        edges = []
+        next_id = n + 1
+        open_groups = [(n, iter(nested))]  # the center is vertex n
+        while open_groups:
+            vid, children = open_groups[-1]
+            child = next(children, None)
+            if child is None:
+                open_groups.pop()
+                if open_groups:
+                    edges.append((open_groups[-1][0], vid))
+            elif isinstance(child, str):
+                edges.append((vid, leaf_of[child]))
+            elif len(child) != 2:
+                raise ValueError("internal groups must be pairs")
+            else:
+                open_groups.append((next_id, iter(child)))
+                next_id += 1
         return cls(tuple(edges), labels)
 
     def splits(self) -> frozenset:
@@ -435,52 +451,55 @@ def parse_newick(text: str) -> Phylogeny:
             raise NewickError(f"nonpositive branch length {value}", start)
         return value
 
-    # a group is (children, position of its "("); children is a list of
-    # (subtree, weight) and a subtree is a label or a group
-    def parse_group():
+    # A group is (children, position of its "("), children a list of
+    # (subtree, weight), and a subtree is a label or a group.  Groups still
+    # open are kept on a stack, so deep trees need no recursion.
+    def parse_tree():
         nonlocal pos
-        open_at = pos
-        pos += 1
-        children = []
+        open_groups = []
         while True:
-            child = parse_node()
-            children.append((child, parse_length(pos)))
             skip_ws()
             if pos >= n_chars:
-                raise NewickError("unterminated group", open_at)
-            if text[pos] == ",":
+                raise NewickError("unexpected end of input", pos)
+            if text[pos] == "(":
+                open_groups.append(([], pos))
                 pos += 1
-            elif text[pos] == ")":
+                continue
+            node = parse_label()
+            while open_groups:  # attach the finished node, close groups
+                children, open_at = open_groups[-1]
+                children.append((node, parse_length(pos)))
+                skip_ws()
+                if pos >= n_chars:
+                    raise NewickError("unterminated group", open_at)
+                if text[pos] == ",":
+                    pos += 1
+                    break
+                if text[pos] != ")":
+                    raise NewickError(f"unexpected character {text[pos]!r}",
+                                      pos)
                 pos += 1
-                return children, open_at
+                node = open_groups.pop()
             else:
-                raise NewickError(f"unexpected character {text[pos]!r}", pos)
-
-    def parse_node():
-        skip_ws()
-        if pos >= n_chars:
-            raise NewickError("unexpected end of input", pos)
-        return parse_group() if text[pos] == "(" else parse_label()
+                return node
 
     skip_ws()
     if pos >= n_chars or text[pos] != "(":
         raise NewickError("tree must start with '('", pos)
-    root_children, open_at = parse_group()
+    root_children, open_at = parse_tree()
     skip_ws()
     if pos >= n_chars or text[pos] != ";":
         raise NewickError("missing ';' terminator", pos)
 
     # flatten: assign leaf ids in encounter order, internal ids afterwards
     labels: list[str] = []
-
-    def count_leaves(node):
+    todo = [(root_children, open_at)]
+    while todo:
+        node = todo.pop()
         if isinstance(node, str):
             labels.append(node)
         else:
-            for child, _ in node[0]:
-                count_leaves(child)
-
-    count_leaves((root_children, open_at))
+            todo.extend(child for child, _ in reversed(node[0]))
     if len(labels) < 3:
         raise NewickError(
             f"fewer than 3 leaves ({len(labels)}) cannot form a "
@@ -495,19 +514,36 @@ def parse_newick(text: str) -> Phylogeny:
     next_internal = [n]
     edges: list[tuple[int, int, float]] = []
 
-    def realize(node) -> int:
-        if isinstance(node, str):
-            return next(leaf_iter)
-        children, at = node
+    def open_vertex(group) -> int:
+        children, at = group
         if len(children) != 2:
             raise NewickError(
                 f"internal vertex with {len(children)} children is not binary", at
             )
-        vid = next_internal[0]
         next_internal[0] += 1
-        for child, w in children:
-            edges.append((vid, realize(child), w))
-        return vid
+        return next_internal[0] - 1
+
+    def realize(node) -> int:
+        # ids in preorder; a group's edge to its parent is listed after
+        # the group's own edges
+        if isinstance(node, str):
+            return next(leaf_iter)
+        top = open_vertex(node)
+        open_groups = [(top, iter(node[0]), None)]
+        while open_groups:
+            vid, children, w_up = open_groups[-1]
+            item = next(children, None)
+            if item is None:
+                open_groups.pop()
+                if open_groups:
+                    edges.append((open_groups[-1][0], vid, w_up))
+                continue
+            child, w = item
+            if isinstance(child, str):
+                edges.append((vid, next(leaf_iter), w))
+            else:
+                open_groups.append((open_vertex(child), iter(child[0]), w))
+        return top
 
     if len(root_children) == 2:
         # suppress the degree-2 root: merge the two root edges

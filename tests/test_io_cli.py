@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from rasphy import (BinningParams, RateDistribution, RegularityParams,
-                    generate_random_regular, simulate_alignment)
+from rasphy import (Alignment, BinningParams, RateDistribution,
+                    RegularityParams, generate_random_regular,
+                    simulate_alignment)
 from rasphy import io as rio
 from rasphy.cli import main
 
@@ -47,6 +48,29 @@ class TestFileFormats:
         again = rio.read_alignment(path)
         assert np.array_equal(again.data, aln.data)
         assert again.r == 4 and again.hidden_lambdas is None
+
+    @pytest.mark.parametrize("r, k, n", [
+        (2, 5, 3), (4, 40, 6), (20, 30, 7), (256, 40, 9), (300, 20, 4),
+        (4, 0, 5), (4, 1, 5), (3, 1, 3), (2, 3, 0),
+        (4, 600, 2048),  # more than one block of rows
+    ])
+    def test_alignment_text_matches_row_formatter(self, tmp_path, r, k, n):
+        def write_rows(path, aln):
+            # the oracle: one str() per state, one line per row
+            with open(path, "w") as fh:
+                fh.write(f"{aln.k} {aln.n} {aln.r}\n")
+                for row in aln.data:
+                    fh.write(" ".join(map(str, row.tolist())) + "\n")
+
+        dtype = np.uint8 if r <= 256 else np.int64
+        data = np.random.default_rng(r + k + n).integers(0, r, (k, n))
+        if k * n:
+            data.flat[0] = r - 1  # the widest state is always present
+        aln = Alignment(data.astype(dtype), r)
+        rio.write_alignment(tmp_path / "fast.txt", aln)
+        write_rows(tmp_path / "rows.txt", aln)
+        assert ((tmp_path / "fast.txt").read_bytes()
+                == (tmp_path / "rows.txt").read_bytes())
 
     def test_lambda_sidecar_round_trip(self, tmp_path):
         lams = np.array([0.5, 1.5, 1.5, 0.5])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -205,6 +206,123 @@ class TestSimulation:
     def test_lambdas_come_from_support(self, five_leaf, jc, two_speed):
         aln = simulate_alignment(five_leaf, jc, two_speed, 1000, seed=2)
         assert set(np.unique(aln.hidden_lambdas)) == {0.5, 1.5}
+
+
+GOLDEN_LAWS = {
+    "constant": RateDistribution.constant(),
+    "two_speed": RateDistribution.two_speed(0.5, 1.5),
+    "three_point": RateDistribution.discrete([0.3, 1.0, 2.5], [0.2, 0.5, 0.3]),
+    "gamma4": RateDistribution.gamma(4.0),
+    "lognormal": RateDistribution.lognormal(0.5),
+}
+
+# (n, model, k, tree seed); the simulation seed is the tree seed + 10
+GOLDEN_SHAPES = {
+    "n5": (5, SubstitutionModel.uniform(2), 3000, 3),
+    "n64": (64, SubstitutionModel(4, pi=(0.1, 0.2, 0.3, 0.4)), 2000, 5),
+}
+
+# sha256 of (aln.data, aln.hidden_lambdas as little-endian float64); any
+# change to the per-site (seed, site) Philox stream layout changes these
+GOLDEN_DIGESTS = {
+    ("n5", "constant"): (
+        "e40e65af29e3cdbd1de91a4b8dac36026820c3a2b417ccd6c1e1f98fbf6cc5dc",
+        "bf92e28edd3af5c14ac29cbcd4313b3c9ffa9e35e4038e377d994d62467617ed"),
+    ("n5", "two_speed"): (
+        "d6e3be29866daf13ddfd07403ed15afb7c187129793436599c1f82eeb1f19e65",
+        "e08567e198fa5c570b3e724517b329167353149f83c006c5c393b590392dcb1f"),
+    ("n5", "three_point"): (
+        "5b26436a027c16a70fd037385804af4bba845cd80a6e01ab58093f582f3400c1",
+        "19466c95e6b2dd1ad57ca16f062e0db7d7a41b8242432d89d2015b24cb3bd528"),
+    ("n5", "gamma4"): (
+        "7d9fd2df99853437e796d9783bc0cb36217f481af7d3013cd02dcef18a7d8388",
+        "87e9b7d1cc4cc0deed9b8b5ade72051980276fc4d3ffe235ea7ab4ee163c5fc0"),
+    ("n5", "lognormal"): (
+        "0345ce514b7936f50196b499cc8b70bc8e72aaa4369ebc7f5e03134da43a2e35",
+        "b839ad2d0b2720a2c3d332099cc889a818143d023cd6a26948afb9518a75618b"),
+    ("n64", "constant"): (
+        "e1d665b60936461fb4cd7faa453ab7d8d5ef596c4663883762ce6f9d1a2672bd",
+        "9c7d87294de0610ce1ba95775bb9e8ae510ec6e3b29772fa9d31f0a01fa99de3"),
+    ("n64", "two_speed"): (
+        "e6df4e48883b2515c82a47092ca3c10d4497df4e46e756b13d780bcf0f82b647",
+        "c652fb8dbb6e1e5e60601bf3f2ccaac7ad0282d45ef179f0155030973cb4437b"),
+    ("n64", "three_point"): (
+        "70457e009f875a4db449f094beb2fcb2a2ba5ab681cbbe235e80a446e592aadf",
+        "eb2ec4030d4bb083942b8deb0b6e62f1a5141507817944afd404f14b6906647b"),
+    ("n64", "gamma4"): (
+        "6edb1ce665c56ef64809975cf9ca5816149752032a290d024c87125a8439e040",
+        "a9803709f76a024080bd203cf552cacf3b37d10cf3e2fdb1604efa0e83f44bf2"),
+    ("n64", "lognormal"): (
+        "97ef5c24e08fc8a975e61f45767dd392c29042f17999f43f71d602f0fe512322",
+        "821af709ce8cb1deae1486da44611e9fcb6a91e3e8cc7021882dbb8cbcf56b02"),
+}
+
+
+def _reference_site(tree, model, rates, seed, site):
+    """One site straight from the stream layout that the
+    ``simulate_alignment`` docstring states: a fresh generator for the
+    site, ``Generator.choice`` for a discrete rate, a walk in Python."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, site]))
+    if rates.kind == "discrete":
+        lam = rates.support[rng.choice(len(rates.support), p=rates.probs)]
+    else:
+        lam = rates.sample(rng, 1)[0]
+    keep_u, fresh_u = rng.random((2, tree.n_vertices))
+    cum_pi = np.cumsum(model.pi)
+    cum_pi[-1] = 1.0
+    state = np.searchsorted(cum_pi, fresh_u, side="right")
+    for parent, child, w in tree.preorder_edges():
+        if keep_u[child] < np.exp(-lam * w):
+            state[child] = state[parent]
+    return lam, state[:tree.n_leaves]
+
+
+class TestSimulationContract:
+    """Byte-level pins of the per-site stream layout documented in
+    :func:`simulate_alignment`."""
+
+    @pytest.mark.parametrize("shape, law", sorted(GOLDEN_DIGESTS))
+    def test_golden_digests(self, shape, law):
+        n, model, k, seed = GOLDEN_SHAPES[shape]
+        tree = generate_random_regular(n, RegularityParams(0.1, 0.2, 1.5),
+                                       seed=seed)
+        aln = simulate_alignment(tree, model, GOLDEN_LAWS[law], k,
+                                 seed=seed + 10)
+        assert aln.data.shape == (k, n)
+        got = (hashlib.sha256(aln.data.tobytes()).hexdigest(),
+               hashlib.sha256(aln.hidden_lambdas.astype("<f8").tobytes())
+               .hexdigest())
+        assert got == GOLDEN_DIGESTS[shape, law]
+
+    def test_rows_do_not_depend_on_batching(self, jc, two_speed):
+        # at n=2048 the simulator draws 16 sites per tile and 8196 per
+        # chunk, so k=8300 spans two chunks; m=1050 ends inside a tile and
+        # m=8250 inside the second chunk
+        tree = generate_random_regular(2048, RegularityParams(0.1, 0.2, 1.5),
+                                       seed=1)
+        full = simulate_alignment(tree, jc, two_speed, 8300, seed=9)
+        for m in (1, 1050, 8250):
+            part = simulate_alignment(tree, jc, two_speed, m, seed=9)
+            assert np.array_equal(part.data, full.data[:m])
+            assert np.array_equal(part.hidden_lambdas,
+                                  full.hidden_lambdas[:m])
+        # and the sites on either side of the chunk boundary are the
+        # sites the stream layout defines
+        for site in (0, 8195, 8196, 8299):
+            lam, leaves = _reference_site(tree, jc, two_speed, 9, site)
+            assert full.hidden_lambdas[site] == lam
+            assert np.array_equal(full.data[site], leaves)
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_discrete_sample_matches_generator_choice(self, seed):
+        rates = RateDistribution.discrete([0.3, 1.0, 2.5, 0.7],
+                                          [0.1, 0.45, 0.15, 0.3])
+        got = rates.sample(np.random.default_rng(seed), 5000)
+        # the oracle: Generator.choice with p= draws one double per value
+        rng = np.random.default_rng(seed)
+        want = rates.support[rng.choice(len(rates.support), 5000,
+                                        p=rates.probs)]
+        assert np.array_equal(got, want)
 
 
 class TestExactLeafDistribution:

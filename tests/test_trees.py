@@ -385,3 +385,16 @@ class TestTopology:
         again = parse_newick(text)
         assert all(w in (1.0, 0.5) for _, _, w in again.edges)
         assert robinson_foulds(again, quartet) == 0
+
+    def test_deep_caterpillar_round_trip(self):
+        # 3000 levels deep, well past Python's default recursion limit
+        n = 3000
+        nested = "leaf_0"
+        for i in range(1, n - 2):
+            nested = (nested, f"leaf_{i}")
+        topo = Topology.from_nested((nested, f"leaf_{n - 2}", f"leaf_{n - 1}"))
+        text = topo.to_newick()
+        back = parse_newick(text)
+        assert back.n_leaves == n
+        assert robinson_foulds(topo, back) == 0
+        assert back.to_newick() == text
