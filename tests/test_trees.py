@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from rasphy import (NewickError, Phylogeny, RegularityParams, Topology,
-                    four_point_topology, generate_complete_binary,
-                    generate_random_regular, parse_newick, paths_disjoint,
-                    robinson_foulds, tree_metric)
+from rasphy import (NewickError, Phylogeny, ReconstructionConfig,
+                    RegularityParams, Topology, four_point_topology,
+                    generate_complete_binary, generate_random_regular,
+                    inject_distortion, parse_newick, paths_disjoint,
+                    reconstruct_topology, robinson_foulds, tree_metric)
 
 from conftest import brute_force_splits
 
@@ -398,3 +400,53 @@ class TestTopology:
         assert back.n_leaves == n
         assert robinson_foulds(topo, back) == 0
         assert back.to_newick() == text
+
+    def test_rebuilt_from_another_topologys_edges(self):
+        # what a caller does to relabel a reconstructed topology
+        tree = generate_random_regular(16, RegularityParams(0.1, 0.2, 1.2), 3)
+        topo = tree.topology()
+        again = Topology(topo.edges, topo.labels)
+        assert again == topo
+        assert again.to_newick() == topo.to_newick()
+        labels = list(topo.labels)
+        labels[0], labels[5] = labels[5], labels[0]
+        assert Topology(topo.edges, labels) != topo
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenTrees:
+    """sha256 pins of tree text and vertex numbering.
+
+    The simulator keys each vertex's stream by its id, so parsed vertex
+    ids must not move either.
+    """
+
+    REG = RegularityParams(0.1, 0.2, 1.5)
+
+    @pytest.mark.parametrize("n, digest", [
+        (5, "fa84f9c3ecee050f4a38b932cea16acd9efd72c646d531d8400bebc3f623a748"),
+        (64, "a34592f8d2cf58ed4765b9565e0c62800024d893f192cd6bb7212c9397a7d190"),
+    ])
+    def test_random_topology_newick(self, n, digest):
+        tree = generate_random_regular(n, self.REG, seed=n)
+        assert _sha256(tree.topology().to_newick()) == digest
+
+    def test_reconstructed_topology_newick(self):
+        tree = generate_random_regular(64, self.REG, seed=64)
+        psi = 5 * self.REG.max_edge * np.log(64)
+        dhat = inject_distortion(tree_metric(tree), 0.01, psi, seed=65)
+        topo = reconstruct_topology(
+            dhat, ReconstructionConfig(trust_cap=psi, tau=0.01),
+            labels=tree.labels)
+        assert robinson_foulds(topo, tree) == 0
+        assert _sha256(topo.to_newick()) == (
+            "38b119e8921a3cbd201775a6ffbdbfdb1ce649653c8dcd809722699bab116f08")
+
+    def test_parsed_vertex_ids(self):
+        tree = generate_random_regular(64, self.REG, seed=64)
+        edges = parse_newick(tree.to_newick()).edges
+        assert _sha256(repr(edges)) == (
+            "c3fc0765f7da5b6777aaee0e6627be1d1c119d0c7442dc770594859422af49c9")
