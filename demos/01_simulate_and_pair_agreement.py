@@ -27,7 +27,7 @@ print(f"alignment: {aln.k} sites x {aln.n} leaves, "
       f"to {aln.hidden_lambdas.max():.2f}")
 
 # empirical normalized agreement vs. the decay transform of true distance
-qhat = rp.agreement_matrix(aln, model).values
+qhat = rp.agreement_matrix(aln, model)
 dist = rp.tree_metric(tree)
 
 print("\n pair      distance   phi(d)     observed")

@@ -8,8 +8,8 @@ agglomeration, with exact small-instance oracles for verification.
 
 from .binning import (BinAssignment, BinningParams, NoAbundantBin, bin_sites,
                       derive_params, select_abundant)
-from .clustering import (AgreementMatrix, ClusteringThresholds, EmptyPairSet,
-                         PairSet, SparsityCertificate, agreement_matrix,
+from .clustering import (ClusteringThresholds, EmptyPairSet, PairSet,
+                         SparsityCertificate, agreement_matrix,
                          all_site_statistics, certify_sparsity, close_pairs,
                          expected_statistic_curve, full_sum_statistics,
                          invert_statistic_curve, oracle_sparsify,

@@ -7,8 +7,9 @@ are pairwise edge-disjoint and which number linearly in the leaf count
 (concentration).  This module builds such pair sets two ways:
 
 * data-driven (``close_pairs`` then ``sparsify``), using only the
-  empirical agreement matrix and thresholds derived from the maximum
-  edge weight g, never true distances;
+  empirical agreement matrix, a plain ``(n, n)`` array from
+  ``agreement_matrix``, and thresholds derived from the maximum edge
+  weight g, never true distances;
 * oracle (``oracle_sparsify``), using the true tree metric, for
   verification of the sparsity properties.
 
@@ -34,7 +35,6 @@ from .models import Alignment, SubstitutionModel, invert_decreasing
 from .trees import Phylogeny, RegularityParams, StatisticalFailure, tree_metric
 
 __all__ = [
-    "AgreementMatrix",
     "ClusteringThresholds",
     "EmptyPairSet",
     "PairSet",
@@ -55,21 +55,6 @@ __all__ = [
 
 class EmptyPairSet(StatisticalFailure, ValueError):
     """A statistic or a thinning step was given no leaf pairs."""
-
-
-@dataclass(frozen=True)
-class AgreementMatrix:
-    """Empirical normalized pair agreement.
-
-    ``values[a, b]`` is the average over sites of
-    ``(indicator(state_a == state_b) - q_inf) / p_inf``; its expectation
-    under the model is ``phi(d(a, b))``.  Entries lie in
-    ``[-q_inf/p_inf, 1]``.  The diagonal holds the self-agreement value
-    1.0 (a leaf always agrees with itself), which the sparsification
-    step relies on to discard pairs sharing a leaf.
-    """
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,8 +155,15 @@ def sparsity_constant(params: RegularityParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> AgreementMatrix:
-    """Normalized agreement averages for every leaf pair.
+def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
+    """Empirical normalized agreement of every leaf pair, ``(n, n)``.
+
+    Entry ``[a, b]`` is the average over sites of
+    ``(indicator(state_a == state_b) - q_inf) / p_inf``; its expectation
+    under the model is ``phi(d(a, b))``.  Entries lie in
+    ``[-q_inf/p_inf, 1]``.  The diagonal holds the self-agreement value
+    1.0 (a leaf always agrees with itself), which :func:`sparsify`
+    relies on to discard pairs sharing a leaf.
 
     Computed with one-hot matrix products, exact in float64 (match
     counts are integers well below 2**53).
@@ -184,24 +176,23 @@ def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> AgreementMatri
         counts += hot.T @ hot
     q = (counts / k - model.q_inf) / model.p_inf
     np.fill_diagonal(q, 1.0)
-    return AgreementMatrix(values=q)
+    return q
 
 
-def close_pairs(q: AgreementMatrix, t: ClusteringThresholds) -> PairSet:
-    """All pairs whose empirical agreement reaches ``close_level``.
+def close_pairs(q: np.ndarray, t: ClusteringThresholds) -> PairSet:
+    """All pairs whose agreement in ``q`` (from :func:`agreement_matrix`)
+    reaches ``close_level``.
 
     The boundary is closed: a pair sitting exactly on the threshold is
     included.
     """
-    vals = q.values
-    n = vals.shape[0]
-    a_idx, b_idx = np.triu_indices(n, k=1)
-    keep = vals[a_idx, b_idx] >= t.close_level
+    a_idx, b_idx = np.triu_indices(q.shape[0], k=1)
+    keep = q[a_idx, b_idx] >= t.close_level
     pairs = tuple(zip(a_idx[keep].tolist(), b_idx[keep].tolist()))
     return PairSet(pairs)
 
 
-def sparsify(candidates: PairSet, q: AgreementMatrix,
+def sparsify(candidates: PairSet, q: np.ndarray,
              t: ClusteringThresholds) -> PairSet:
     """Greedily thin a candidate set so surviving pairs do not crowd.
 
@@ -213,7 +204,7 @@ def sparsify(candidates: PairSet, q: AgreementMatrix,
     """
     if len(candidates) == 0:
         raise EmptyPairSet("candidate pair set is empty")
-    kept = _greedy_thin(candidates, q.values, t.prune_level)
+    kept = _greedy_thin(candidates, q, t.prune_level)
     return PairSet(kept)
 
 
@@ -310,21 +301,16 @@ def certify_sparsity(pairs: PairSet, p: Phylogeny,
 # ---------------------------------------------------------------------------
 
 
-def _pair_indicator_stats(aln: Alignment, pairs: PairSet,
-                          model: SubstitutionModel) -> np.ndarray:
-    data = aln.data
-    pa = np.fromiter((a for a, _ in pairs), dtype=np.int64, count=len(pairs))
-    pb = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
-    agree = (data[:, pa] == data[:, pb]).mean(axis=1)
-    return (agree - model.q_inf) / model.p_inf
-
-
 def all_site_statistics(aln: Alignment, pairs: PairSet,
                         model: SubstitutionModel) -> np.ndarray:
     """Vector of the clustering statistic for every site."""
     if len(pairs) == 0:
         raise EmptyPairSet("pair set is empty")
-    return _pair_indicator_stats(aln, pairs, model)
+    data = aln.data
+    pa = np.fromiter((a for a, _ in pairs), dtype=np.int64, count=len(pairs))
+    pb = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
+    agree = (data[:, pa] == data[:, pb]).mean(axis=1)
+    return (agree - model.q_inf) / model.p_inf
 
 
 def site_statistic(aln: Alignment, pairs: PairSet, i: int,

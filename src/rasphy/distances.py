@@ -90,7 +90,7 @@ def bin_agreement(aln: Alignment, bin_sites, model: SubstitutionModel) -> np.nda
     if idx.size == 0:
         raise ValueError("site bin is empty")
     sub = Alignment(aln.data[idx], aln.r, None)
-    return agreement_matrix(sub, model).values
+    return agreement_matrix(sub, model)
 
 
 def distorted_metric(qstar: np.ndarray) -> DistortedMetric:

@@ -186,16 +186,12 @@ def write_bin_report(path, assignment: BinAssignment, k: int):
 
 
 def write_distance_matrix(path, values: np.ndarray, labels):
-    values = np.asarray(values)
-    n = values.shape[0]
+    rows = np.asarray(values, dtype=float).tolist()
     with open(path, "w") as fh:
-        fh.write(f"{n}\n")
-        for i in range(n):
-            cells = " ".join(
-                "inf" if np.isinf(values[i, j]) else repr(float(values[i, j]))
-                for j in range(n)
-            )
-            fh.write(f"{labels[i]} {cells}\n")
+        fh.write(f"{len(rows)}\n")
+        for i, row in enumerate(rows):
+            # repr of a float is its shortest round-trip text; inf is "inf"
+            fh.write(f"{labels[i]} {' '.join(map(repr, row))}\n")
 
 
 def read_distance_matrix(path):

@@ -284,16 +284,6 @@ class ClassificationReport:
     n_fast: int
     confusion: tuple  # ((true slow pred slow, true slow pred fast), (...))
 
-    def lines(self):
-        yield f"accuracy={self.accuracy!r}"
-        yield f"threshold={self.threshold!r}"
-        yield f"mean_slow={self.mean_slow!r}"
-        yield f"mean_fast={self.mean_fast!r}"
-        yield f"n_slow={self.n_slow}"
-        yield f"n_fast={self.n_fast}"
-        (tss, tsf), (tfs, tff) = self.confusion
-        yield f"confusion={tss},{tsf},{tfs},{tff}"
-
 
 def site_classification_report(aln: Alignment, pairs: _clustering.PairSet,
                                truth: Phylogeny,

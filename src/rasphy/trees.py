@@ -5,7 +5,8 @@ degree exactly 3 and whose leaves carry unique string labels.  Edge
 weights are strictly positive reals measured in expected substitutions
 per site.  The module provides
 
-* ``Phylogeny`` / ``Topology``   immutable tree containers,
+* ``Phylogeny``   the one tree class; ``Topology`` is a ``Phylogeny``
+  with every edge weight 1.0 that compares equal by splits,
 * ``parse_newick`` / ``Phylogeny.to_newick``   Newick round-tripping
   (a degree-2 root is suppressed on parse and re-introduced on write),
 * ``tree_metric``   all-pairs leaf distances (path sums),
@@ -23,11 +24,10 @@ Construction roots each tree once, at internal vertex ``n``, with one
 depth-first walk that records every vertex's parent, edge weight, depth
 and block of the walk's leaf order.  ``tree_metric``, ``Phylogeny.splits``,
 ``Phylogeny.path_edges`` and the simulator's ``Phylogeny.preorder_edges``
-all read that record.  In this module only Newick writing and parsing,
-``Topology.from_nested``, the generators and the reference
-``Phylogeny.leaf_distances_from`` walk the tree themselves.  The first
-three keep explicit stacks, so no tree depth reaches Python's recursion
-limit.
+all read that record.  The only other code here that walks a tree itself
+is Newick writing and parsing, ``Topology.from_nested`` and the
+generators.  The Newick and nested-tuple code keeps explicit stacks, so
+no tree depth reaches Python's recursion limit.
 
 Everything is immutable after construction and safe to share across
 threads; the random generator takes an explicit seed.
@@ -203,7 +203,7 @@ class Phylogeny:
         return self._label_to_leaf[label]
 
     def __repr__(self):
-        return f"Phylogeny(n_leaves={self.n_leaves})"
+        return f"{type(self).__name__}(n_leaves={self.n_leaves})"
 
     # -- structure queries -----------------------------------------------
 
@@ -255,24 +255,9 @@ class Phylogeny:
                 out.add(frozenset(leaves[lo:hi]))
         return frozenset(out)
 
-    def leaf_distances_from(self, leaf: int) -> np.ndarray:
-        """Distances from ``leaf`` to every leaf (0.0 for itself)."""
-        n_vertices = self.n_vertices
-        dist = np.full(n_vertices, -1.0)
-        dist[leaf] = 0.0
-        stack = [leaf]
-        while stack:
-            x = stack.pop()
-            dx = dist[x]
-            for y, w in self._adj[x]:
-                if dist[y] < 0.0:
-                    dist[y] = dx + w
-                    stack.append(y)
-        return dist[: self.n_leaves].copy()
-
     def topology(self) -> "Topology":
-        """This tree with the edge weights erased."""
-        return Topology(tuple((u, v) for u, v, _ in self.edges), self.labels)
+        """This tree with every edge weight set to 1.0."""
+        return Topology(self.edges, self.labels)
 
     # -- Newick serialization ---------------------------------------------
 
@@ -322,26 +307,26 @@ class Phylogeny:
         return "".join(out)
 
 
-class Topology:
-    """Leaf-labeled binary tree shape without edge weights.
+class Topology(Phylogeny):
+    """Leaf-labeled binary tree shape: a :class:`Phylogeny` whose edge
+    weights are all 1.0.
 
-    Same degree constraints as :class:`Phylogeny`.  Provides the set of
-    nontrivial bipartitions (splits) used for tree comparison.
+    Two topologies are equal when they have the same leaf labels and the
+    same nontrivial bipartitions (splits), however their vertices are
+    numbered.
+
+    Parameters
+    ----------
+    edges : iterable of (int, int) or (int, int, float)
+        Undirected edges covering all vertices; a third item is ignored.
+    labels : sequence of str
+        Leaf labels; ``labels[i]`` names leaf vertex ``i``.
     """
 
-    __slots__ = ("labels", "edges", "_adj", "_tree")
+    __slots__ = ()
 
     def __init__(self, edges, labels):
-        # the unit-weight tree carries the structural checks and the walk
-        tree = Phylogeny(tuple((u, v, 1.0) for u, v in edges), labels)
-        self.labels = tree.labels
-        self.edges = tuple((u, v) for u, v, _ in tree.edges)
-        self._adj = tree._adj
-        self._tree = tree
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.labels)
+        super().__init__(((u, v, 1.0) for u, v, *_ in edges), labels)
 
     @classmethod
     def from_nested(cls, nested) -> "Topology":
@@ -385,14 +370,6 @@ class Topology:
                 next_id += 1
         return cls(tuple(edges), labels)
 
-    def splits(self) -> frozenset:
-        """Nontrivial bipartitions; see :meth:`Phylogeny.splits`."""
-        return self._tree.splits()
-
-    def to_newick(self) -> str:
-        """Newick with unit branch lengths."""
-        return self._tree.to_newick()
-
     def __eq__(self, other):
         if not isinstance(other, Topology):
             return NotImplemented
@@ -400,9 +377,6 @@ class Topology:
 
     def __hash__(self):
         return hash((frozenset(self.labels), self.splits()))
-
-    def __repr__(self):
-        return f"Topology(n_leaves={self.n_leaves})"
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +559,8 @@ def tree_metric(p: Phylogeny) -> np.ndarray:
     * parents first, ``D[c, ~S_c] = D[p, ~S_c] + w``.
 
     Each entry is summed along its path starting from the leaf, exactly
-    as :meth:`Phylogeny.leaf_distances_from` does, so the result equals
-    the symmetrised per-leaf walks bit for bit.
+    as a walk out from that leaf sums it, so the result equals the
+    symmetrised per-leaf walks bit for bit.
     """
     n, n_vertices = p.n_leaves, p.n_vertices
     order, parent, weight = p._order, p._parent, p._weight
@@ -650,8 +624,7 @@ def quartet_margin(d, a: int, b: int, c: int, e: int):
 def robinson_foulds(t1, t2) -> int:
     """Number of nontrivial bipartitions present in exactly one tree.
 
-    Accepts :class:`Topology` or :class:`Phylogeny` arguments (weights
-    are ignored).  Zero iff the topologies are identical.
+    Edge weights are ignored.  Zero iff the topologies are identical.
     """
     if set(t1.labels) != set(t2.labels):
         raise ValueError("trees have different leaf label sets")

@@ -50,7 +50,7 @@ def brute_force_splits(tree) -> frozenset:
     n = topo.n_leaves
     ref = min(topo.labels)
     out = set()
-    for u, v in topo.edges:
+    for u, v, _ in topo.edges:
         if u < n or v < n:
             continue
         # leaves reachable from v without crossing back through u
@@ -61,7 +61,7 @@ def brute_force_splits(tree) -> frozenset:
             x = stack.pop()
             if x < n:
                 side.add(topo.labels[x])
-            for y, _ in topo._adj[x]:
+            for y, _ in topo.neighbors(x):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)

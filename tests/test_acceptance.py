@@ -82,7 +82,7 @@ def test_02_pair_agreement_law():
                                     seed=int(rng.integers(2**30)))
         a, b = map(int, rng.choice(n, size=2, replace=False))
         d = rp.tree_metric(tree)[a, b]
-        qhat = rp.agreement_matrix(aln, model).values[a, b]
+        qhat = rp.agreement_matrix(aln, model)[a, b]
         expected = rates.phi(d)
         p_agree = model.q_inf + model.p_inf * expected
         sigma = math.sqrt(p_agree * (1 - p_agree) / k) / model.p_inf

@@ -13,7 +13,6 @@ from rasphy import (Alignment, ClusteringThresholds, EmptyPairSet, PairSet,
                     oracle_sparsify, paths_disjoint, simulate_alignment,
                     site_statistic, sparsify, sparsity_constant,
                     tree_metric)
-from rasphy.clustering import AgreementMatrix
 
 
 def thresholds(g=0.2):
@@ -38,13 +37,13 @@ class TestAgreementMatrix:
     def test_perfect_agreement_is_one(self, cfn):
         data = np.zeros((50, 3), dtype=np.uint8)
         q = agreement_matrix(Alignment(data, r=2), cfn)
-        assert np.allclose(q.values, 1.0)
+        assert np.allclose(q, 1.0)
 
     def test_independent_leaves_center_near_zero(self, jc):
         rng = np.random.default_rng(0)
         data = rng.integers(0, 4, size=(200_000, 2)).astype(np.uint8)
         q = agreement_matrix(Alignment(data, r=4), jc)
-        assert abs(q.values[0, 1]) < 4 * (4 / 3) * math.sqrt(0.25 * 0.75 / 200_000)
+        assert abs(q[0, 1]) < 4 * (4 / 3) * math.sqrt(0.25 * 0.75 / 200_000)
 
     def test_binomial_oracle_at_distance(self, cfn):
         tree = generate_complete_binary(3, 0.3)
@@ -55,12 +54,12 @@ class TestAgreementMatrix:
         for a, b in ((0, 1), (0, 4), (2, 7)):
             p = 0.5 + 0.5 * math.exp(-d[a, b])
             sigma = 2.0 * math.sqrt(p * (1 - p) / aln.k)
-            assert abs(q.values[a, b] - math.exp(-d[a, b])) < 4 * sigma
+            assert abs(q[a, b] - math.exp(-d[a, b])) < 4 * sigma
 
     def test_entries_in_normalized_range(self, jc, reg_01_02, two_speed):
         tree = generate_random_regular(16, reg_01_02, seed=1)
         aln = simulate_alignment(tree, jc, two_speed, 500, seed=2)
-        q = agreement_matrix(aln, jc).values
+        q = agreement_matrix(aln, jc)
         lo = -jc.q_inf / jc.p_inf
         assert np.all(q >= lo - 1e-12)
         assert np.all(q <= 1.0 + 1e-12)
@@ -75,7 +74,7 @@ class TestClosePairs:
         vals[0, 2] = vals[2, 0] = t.close_level - 1e-9
         vals[1, 2] = vals[2, 1] = 0.0
         np.fill_diagonal(vals, 1.0)
-        got = close_pairs(AgreementMatrix(vals), t)
+        got = close_pairs(vals, t)
         assert got.pairs == ((0, 1),)
 
     def test_exact_phi_below_4g_included(self):
@@ -86,7 +85,7 @@ class TestClosePairs:
         d = tree_metric(tree)
         vals = np.exp(-d)
         np.fill_diagonal(vals, 1.0)
-        got = close_pairs(AgreementMatrix(vals), t)
+        got = close_pairs(vals, t)
         for a in range(8):
             for b in range(a + 1, 8):
                 if d[a, b] <= 4 * g:
@@ -100,7 +99,7 @@ class TestClosePairs:
         vals = np.eye(4)
         for j, dist in enumerate(dists, start=1):
             vals[0, j] = vals[j, 0] = two_speed.phi(dist)
-        got = close_pairs(AgreementMatrix(vals), t)
+        got = close_pairs(vals, t)
         assert got.pairs == ()
 
 
@@ -112,7 +111,7 @@ class TestSparsify:
         for a, b in ((0, 1), (2, 3), (4, 5)):
             vals[a, b] = vals[b, a] = 0.9
         cand = PairSet(((0, 1), (2, 3), (4, 5)))
-        got = sparsify(cand, AgreementMatrix(vals), t)
+        got = sparsify(cand, vals, t)
         assert set(got.pairs) == {(0, 1), (2, 3), (4, 5)}
 
     def test_overlapping_pairs_one_survives(self):
@@ -121,12 +120,12 @@ class TestSparsify:
         np.fill_diagonal(vals, 1.0)
         vals[0, 1] = vals[1, 0] = 0.9
         vals[1, 2] = vals[2, 1] = 0.8
-        got = sparsify(PairSet(((0, 1), (1, 2))), AgreementMatrix(vals), t)
+        got = sparsify(PairSet(((0, 1), (1, 2))), vals, t)
         assert got.pairs == ((0, 1),)  # higher agreement wins the pick
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            sparsify(PairSet(()), AgreementMatrix(np.eye(2)), thresholds())
+            sparsify(PairSet(()), np.eye(2), thresholds())
 
     def test_simulated_output_passes_certificate(self, jc, two_speed):
         params = RegularityParams(0.2, 0.2, 1.5)

@@ -16,7 +16,7 @@ class TestBinAgreement:
     def test_full_bin_equals_agreement_matrix(self, jc, two_speed, reg_01_02):
         tree = generate_random_regular(12, reg_01_02, seed=0)
         aln = simulate_alignment(tree, jc, two_speed, 300, seed=1)
-        full = agreement_matrix(aln, jc).values
+        full = agreement_matrix(aln, jc)
         got = bin_agreement(aln, np.arange(aln.k), jc)
         assert np.allclose(got, full)
 

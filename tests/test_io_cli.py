@@ -88,6 +88,32 @@ class TestFileFormats:
         assert labels == ["x", "y", "z"]
         assert np.array_equal(got, values)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_distance_matrix_text_matches_cell_formatter(self, tmp_path, n):
+        def write_cells(path, values, labels):
+            # the oracle: one isinf test and one repr per cell
+            with open(path, "w") as fh:
+                fh.write(f"{n}\n")
+                for i in range(n):
+                    cells = " ".join(
+                        "inf" if np.isinf(values[i, j])
+                        else repr(float(values[i, j]))
+                        for j in range(n))
+                    fh.write(f"{labels[i]} {cells}\n")
+
+        rng = np.random.default_rng(n)
+        values = rng.exponential(size=(n, n)) * 10.0 ** rng.integers(
+            -8, 18, size=(n, n))
+        special = [np.inf, np.finfo(float).tiny, 1e-5, 1e17, 0.5, 7.0]
+        values.flat[1:1 + len(special)] = special[:max(0, n * n - 1)]
+        values = np.triu(values, 1)
+        values = values + values.T  # symmetric, with a zero diagonal
+        labels = [f"leaf_{i}" for i in range(n)]
+        rio.write_distance_matrix(tmp_path / "fast.txt", values, labels)
+        write_cells(tmp_path / "cells.txt", values, labels)
+        assert ((tmp_path / "fast.txt").read_bytes()
+                == (tmp_path / "cells.txt").read_bytes())
+
     def test_pairset_lines(self, tmp_path):
         from rasphy import PairSet
         path = tmp_path / "pairs.txt"
@@ -161,6 +187,17 @@ class TestSimulateCommand:
             "--out-dir", str(tmp_path / "x")])
         assert code == 2
         assert "phi_inverse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 63 + 5])
+    def test_seed_from_2_63_is_input_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "x"
+        code = run_cli([
+            "simulate", "--complete-h", "3", "--mu", "0.2",
+            "--rates", "constant", "--k", "10", "--seed", str(seed),
+            "--out-dir", str(out)])
+        assert code == 2
+        assert "2**63" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_source_is_usage_error(self, tmp_path):
         code = run_cli(["simulate", "--rates", "constant", "--k", "10",

@@ -313,6 +313,19 @@ class TestSimulationContract:
             assert full.hidden_lambdas[site] == lam
             assert np.array_equal(full.data[site], leaves)
 
+    @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 63 + 5])
+    def test_seed_from_2_63_rejected(self, five_leaf, jc, two_speed, seed):
+        # Philox would round such a seed through float64 and alias it
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            simulate_alignment(five_leaf, jc, two_speed, 10, seed=seed)
+
+    def test_largest_seed_simulates(self, five_leaf, jc, two_speed):
+        seed = 2 ** 63 - 1
+        aln = simulate_alignment(five_leaf, jc, two_speed, 10, seed=seed)
+        lam, leaves = _reference_site(five_leaf, jc, two_speed, seed, 9)
+        assert aln.hidden_lambdas[9] == lam
+        assert np.array_equal(aln.data[9], leaves)
+
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_discrete_sample_matches_generator_choice(self, seed):
         rates = RateDistribution.discrete([0.3, 1.0, 2.5, 0.7],

@@ -143,8 +143,23 @@ class TestTreeMetric:
                 assert s[1] == pytest.approx(s[2], abs=1e-12)
 
 
+def _leaf_distances_from(tree, leaf):
+    """Distances from ``leaf`` to every leaf, summed along a walk out
+    from ``leaf`` over the public adjacency."""
+    dist = np.full(tree.n_vertices, -1.0)
+    dist[leaf] = 0.0
+    stack = [leaf]
+    while stack:
+        x = stack.pop()
+        for y, w in tree.neighbors(x):
+            if dist[y] < 0.0:
+                dist[y] = dist[x] + w
+                stack.append(y)
+    return dist[:tree.n_leaves]
+
+
 def _per_leaf_walks(tree):
-    out = np.array([tree.leaf_distances_from(leaf)
+    out = np.array([_leaf_distances_from(tree, leaf)
                     for leaf in range(tree.n_leaves)])
     return (out + out.T) / 2.0
 
