@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from rasphy import (Alignment, ClusteringThresholds, EmptyPairSet, PairSet,
-                    RateDistribution, RegularityParams, agreement_matrix,
+                    RateDistribution, RegularityParams, SubstitutionModel,
+                    agreement_matrix,
                     all_site_statistics, certify_sparsity, close_pairs,
                     expected_statistic_curve, full_sum_statistics,
                     generate_complete_binary,
@@ -64,6 +66,34 @@ class TestAgreementMatrix:
         assert np.all(q >= lo - 1e-12)
         assert np.all(q <= 1.0 + 1e-12)
         assert np.all(np.diag(q) == 1.0)
+
+
+def _digest(q):
+    """sha256 of the little-endian float64 bytes of an agreement matrix."""
+    return hashlib.sha256(q.astype("<f8").tobytes()).hexdigest()
+
+
+class TestAgreementGolden:
+    # at n=4 a site chunk of the counting kernel holds 2**20 sites, so
+    # k = 2**20 + 1 puts one site in a second chunk
+    @pytest.mark.parametrize("r, k, digest", [
+        (2, 1, "264d51aa8691c450cca04217821a82b3f95a653abe88f849f46da0499d77cd4b"),
+        (4, 1, "74bb001660323f9cedb40769dadef706493a84b8fa00dd9dd99c29e10ccd0753"),
+        (20, 1, "c5d34778205593c205353ce34b7baa184f8e7d76548e019bb4e65825624ad272"),
+        (2, 2**20 + 1, "bf61d01c95deb6e3cb9412ba9b90a93abf431946800ce8a14c5b6f46082bd04e"),
+        (4, 2**20 + 1, "42c6a54824797ab892d573818d886615e00b17e7edfa5e9b676184bc55f4b282"),
+        (20, 2**20 + 1, "792ae5732bcc0b40d47a88b55fa1b320b3846716aadce3ffadfb5d46cce40769"),
+    ])
+    def test_digest(self, r, k, digest):
+        rng = np.random.default_rng(r)
+        data = rng.integers(0, r, size=(k, 4)).astype(np.uint8)
+        q = agreement_matrix(Alignment(data, r=r), SubstitutionModel.uniform(r))
+        assert _digest(q) == digest
+
+    def test_digest_simulated(self, jc, reg_01_02, two_speed):
+        tree = generate_random_regular(37, reg_01_02, seed=5)
+        aln = simulate_alignment(tree, jc, two_speed, 3001, seed=6)
+        assert _digest(agreement_matrix(aln, jc)) == "a306f49ca19c0b582c71b52cbc5b0d393262d49710f1ed0f3147e65dedbc1176"
 
 
 class TestClosePairs:

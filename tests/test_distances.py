@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rasphy import (Alignment, DistortedMetric, RateDistribution,
-                    RegularityParams, agreement_matrix, bin_agreement,
+                    RegularityParams, SubstitutionModel, agreement_matrix,
+                    bin_agreement,
                     distorted_metric, generate_random_regular,
                     simulate_alignment, tree_metric, verify_distortion)
 from rasphy.distances import MIN_POSITIVE_DISTANCE
@@ -18,7 +20,7 @@ class TestBinAgreement:
         aln = simulate_alignment(tree, jc, two_speed, 300, seed=1)
         full = agreement_matrix(aln, jc)
         got = bin_agreement(aln, np.arange(aln.k), jc)
-        assert np.allclose(got, full)
+        assert np.array_equal(got, full)
 
     def test_constant_rate_decay_law(self, cfn, reg_01_02):
         tree = generate_random_regular(8, reg_01_02, seed=2)
@@ -42,6 +44,30 @@ class TestBinAgreement:
         data = np.zeros((10, 2), dtype=np.uint8)
         with pytest.raises(ValueError, match="empty"):
             bin_agreement(Alignment(data, r=2), [], cfn)
+
+
+class TestBinAgreementGolden:
+    """sha256 of the little-endian float64 bytes of ``bin_agreement``.
+
+    The bin leaves out sites 1 and 2.  At n=4 a site chunk of the counting
+    kernel holds 2**20 sites, so 2**20 + 1 kept sites cross a chunk.
+    """
+
+    @pytest.mark.parametrize("r, k, digest", [
+        (2, 1, "d1db8e63e737361f1078ec103b14c04d5c0c91e3f1f15ad93548a923331c365a"),
+        (4, 1, "39959a76ce288a5e7fe4dac24c2c7ef4ee87e7b37a7bddcf9084947db0d5fcc1"),
+        (20, 1, "2283928402dab44aee6ad9fdf32cdf80aafdb3507c1b821647bf3e922509e955"),
+        (2, 2**20 + 1, "994016315b030adc51da74eb803b2387d34d4d5743bca53442770418362a0883"),
+        (4, 2**20 + 1, "eebc94fbce28d86fe7b7e5a22d184b5fc0b8370803a4f12b7c527638c6068d32"),
+        (20, 2**20 + 1, "2fe0c018fd81e212eb9bb58f1a5dd542e7abd8f5fbc54ff3bb55a5fc41ccdeea"),
+    ])
+    def test_digest(self, r, k, digest):
+        rng = np.random.default_rng(100 + r)
+        data = rng.integers(0, r, size=(k + 2, 4)).astype(np.uint8)
+        bin_sites = np.delete(np.arange(k + 2), [1, 2])
+        q = bin_agreement(Alignment(data, r=r), bin_sites,
+                          SubstitutionModel.uniform(r))
+        assert hashlib.sha256(q.astype("<f8").tobytes()).hexdigest() == digest
 
 
 class TestDistortedMetric:
