@@ -183,7 +183,9 @@ def _cmd_pipeline(args) -> int:
     _echo_config(out, args)
 
     try:
-        report = run_pipeline(aln, cfg, truth=truth)
+        report = run_pipeline(
+            aln, cfg, truth=truth,
+            stop_after="site_statistics" if args.stats_only else None)
     except ValueError as exc:  # assumption violations and bad inputs
         print(f"pipeline: {exc}", file=sys.stderr)
         return STAGE_ERROR
@@ -192,7 +194,7 @@ def _cmd_pipeline(args) -> int:
     if report.u_values is not None:
         _io.write_statistics_csv(out / "u_values.csv", report.u_values)
     if args.stats_only:
-        _write_report(out / "report.txt", report, stats_only=True)
+        _write_report(out / "report.txt", report)
         return 0 if report.u_values is not None else STAGE_ERROR
     if report.pair_set is not None:
         _io.write_pairset(out / "pairs.txt", report.pair_set, labels)
@@ -215,7 +217,7 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _write_report(path, report, stats_only=False):
+def _write_report(path, report):
     lines = ["[stages]"]
     for rec in report.stages:
         lines.append(f"{rec.name}.status={rec.status}")
@@ -224,8 +226,6 @@ def _write_report(path, report, stats_only=False):
             lines.append(f"{rec.name}.{key}={value}")
         if rec.reason:
             lines.append(f"{rec.name}.reason={rec.reason}")
-        if stats_only and rec.name == "site_statistics":
-            break
     lines.append("[summary]")
     lines.append(f"ok={report.ok}")
     if report.pair_set is not None:

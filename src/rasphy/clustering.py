@@ -155,6 +155,38 @@ def sparsity_constant(params: RegularityParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: Bytes of one float32 one-hot block in the match-counting kernel.  At
+#: n=512 and r=4, 16 and 32 MiB ran fastest of 4 to 64 MiB.
+CHUNK_BYTES = 16 * 2**20
+
+
+def _match_counts(data: np.ndarray, r: int) -> np.ndarray:
+    """How many sites each leaf pair agrees at, as a float64 ``(n, n)``.
+
+    Walks the sites in chunks.  Per chunk and state it counts with a
+    float32 one-hot product, sums the states into a float32 partial and
+    adds that partial into the float64 total.  A partial entry counts
+    sites of one chunk, so every sum BLAS forms is an integer no larger
+    than the chunk's site count; at most 2**24 sites per chunk keeps
+    them all exact in float32.  The counts are thus the exact integers,
+    whatever order BLAS sums in.  The one-hot block of a chunk takes at
+    most ``CHUNK_BYTES``.
+    """
+    k, n = data.shape
+    rows = min(2**24, CHUNK_BYTES // (4 * max(n, 1)))
+    counts = np.zeros((n, n))
+    buf = np.empty((min(rows, k), n), dtype=np.float32)
+    for start in range(0, k, rows):
+        block = data[start:start + rows]
+        hot = buf[:len(block)]
+        part = np.zeros((n, n), dtype=np.float32)
+        for x in range(r):
+            np.equal(block, x, out=hot)
+            part += hot.T @ hot
+        counts += part
+    return counts
+
+
 def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
     """Empirical normalized agreement of every leaf pair, ``(n, n)``.
 
@@ -165,16 +197,14 @@ def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
     1.0 (a leaf always agrees with itself), which :func:`sparsify`
     relies on to discard pairs sharing a leaf.
 
-    Computed with one-hot matrix products, exact in float64 (match
-    counts are integers well below 2**53).
+    The match counts come from float32 one-hot products over chunks of
+    at most 2**24 sites, and float32 holds every integer up to 2**24, so
+    they are exact; the chunks add up in float64.  Besides a few
+    ``(n, n)`` arrays, the working memory is one one-hot block of at
+    most ``CHUNK_BYTES``, whatever the number of sites.
     """
-    data = aln.data
-    k = aln.k
-    counts = np.zeros((aln.n, aln.n))
-    for x in range(aln.r):
-        hot = (data == x).astype(np.float64)
-        counts += hot.T @ hot
-    q = (counts / k - model.q_inf) / model.p_inf
+    counts = _match_counts(aln.data, aln.r)
+    q = (counts / aln.k - model.q_inf) / model.p_inf
     np.fill_diagonal(q, 1.0)
     return q
 
@@ -259,7 +289,13 @@ def certify_sparsity(pairs: PairSet, p: Phylogeny,
     Path-disjointness is checked by counting edge usage across all pair
     paths (pairwise disjoint iff no edge is used twice).
     """
-    dist = tree_metric(p)
+    return _certify_sparsity(pairs, p, params, tree_metric(p))
+
+
+def _certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
+                      dist: np.ndarray) -> SparsityCertificate:
+    """:func:`certify_sparsity` with the tree metric ``dist`` of ``p``
+    given."""
     n = p.n_leaves
     gamma_s = sparsity_constant(params)
 

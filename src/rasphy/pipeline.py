@@ -174,7 +174,8 @@ _STAGES = (
 
 
 def run_pipeline(aln: Alignment, cfg: PipelineConfig,
-                 truth: Phylogeny | None = None) -> PipelineReport:
+                 truth: Phylogeny | None = None,
+                 stop_after: str | None = None) -> PipelineReport:
     """Run the full inference chain on an alignment.
 
     The sidecar of hidden rates, if present, is stripped before any
@@ -182,8 +183,15 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
     diagnostics are appended after inference finishes.  Statistical
     stage failures are recorded in the report (``report.ok`` false)
     instead of raising; use ``report.raise_if_failed()`` to escalate.
-    Every other exception propagates.
+    Every other exception propagates.  With ``stop_after`` naming a
+    stage, the stages after it neither run nor appear in the report.
     """
+    stages = _STAGES
+    if stop_after is not None:
+        names = [stage[0] for stage in _STAGES]
+        if stop_after not in names:
+            raise ValueError(f"unknown stage {stop_after!r}")
+        stages = _STAGES[:names.index(stop_after) + 1]
     if cfg.rates is not None:
         verdict = check_assumption(cfg.rates, cfg.reg)
         if not verdict.ok:
@@ -201,7 +209,7 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
         "labels": truth.labels if truth is not None else None,
     }
     report = PipelineReport()
-    for name, attr, call, hint, detail in _STAGES:
+    for name, attr, call, hint, detail in stages:
         if report.error is not None:
             report.stages.append(StageRecord(
                 name=name, status="skipped",
@@ -233,9 +241,11 @@ def _oracle_diagnostics(report: PipelineReport, aln: Alignment,
                         cfg: PipelineConfig, truth: Phylogeny):
     if report.topology is not None:
         report.rf_distance = robinson_foulds(report.topology, truth)
-    if report.pair_set is not None:
-        report.certificate = _clustering.certify_sparsity(
-            report.pair_set, truth, cfg.reg)
+    if report.pair_set is None:  # then no later stage ran either
+        return
+    dist = tree_metric(truth)
+    report.certificate = _clustering._certify_sparsity(
+        report.pair_set, truth, cfg.reg, dist)
     if (report.dhat is not None and aln.hidden_lambdas is not None
             and report.abundant_bin is not None):
         bin_idx = report.assignment.bins[report.abundant_bin]
@@ -243,7 +253,7 @@ def _oracle_diagnostics(report: PipelineReport, aln: Alignment,
         tau = lam_star * cfg.reg.min_edge / 5.0
         psi = 5.0 * lam_star * cfg.reg.max_edge * np.log(aln.n)
         report.distortion = _distances.verify_distortion(
-            report.dhat, lam_star * tree_metric(truth), tau, psi)
+            report.dhat, lam_star * dist, tau, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rasphy import (Alignment, ClusteringThresholds, EmptyPairSet, PairSet,
                     RateDistribution, RegularityParams, SubstitutionModel,
-                    agreement_matrix,
-                    all_site_statistics, certify_sparsity, close_pairs,
+                    agreement_matrix, all_site_statistics, certify_sparsity,
+                    close_pairs,
                     expected_statistic_curve, full_sum_statistics,
                     generate_complete_binary,
                     generate_random_regular, invert_statistic_curve,
@@ -67,6 +68,34 @@ class TestAgreementMatrix:
         assert np.all(q <= 1.0 + 1e-12)
         assert np.all(np.diag(q) == 1.0)
 
+    def test_memory_bounded_at_large_k(self, jc):
+        # a k x n float64 one-hot would take 195 MiB here
+        rng = np.random.default_rng(0)
+        aln = Alignment(rng.integers(0, 4, size=(100_000, 256))
+                        .astype(np.uint8), r=4)
+        tracemalloc.start()
+        try:
+            agreement_matrix(aln, jc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+
+@pytest.mark.parametrize("n, r, k", [(300, 4, 13_982), (7, 20, 5)])
+def test_counts_equal_float64_one_hot_reference(n, r, k):
+    # at n=300 a site chunk holds 13 981 sites: k crosses it by one
+    rng = np.random.default_rng(n)
+    data = rng.integers(0, r, size=(k, n)).astype(np.uint8)
+    counts = np.zeros((n, n))
+    for x in range(r):
+        hot = (data == x).astype(np.float64)
+        counts += hot.T @ hot
+    model = SubstitutionModel.uniform(r)
+    want = (counts / k - model.q_inf) / model.p_inf
+    np.fill_diagonal(want, 1.0)
+    assert np.array_equal(agreement_matrix(Alignment(data, r=r), model), want)
+
 
 def _digest(q):
     """sha256 of the little-endian float64 bytes of an agreement matrix."""
@@ -87,13 +116,15 @@ class TestAgreementGolden:
     def test_digest(self, r, k, digest):
         rng = np.random.default_rng(r)
         data = rng.integers(0, r, size=(k, 4)).astype(np.uint8)
-        q = agreement_matrix(Alignment(data, r=r), SubstitutionModel.uniform(r))
+        q = agreement_matrix(Alignment(data, r=r),
+                             SubstitutionModel.uniform(r))
         assert _digest(q) == digest
 
     def test_digest_simulated(self, jc, reg_01_02, two_speed):
         tree = generate_random_regular(37, reg_01_02, seed=5)
         aln = simulate_alignment(tree, jc, two_speed, 3001, seed=6)
-        assert _digest(agreement_matrix(aln, jc)) == "a306f49ca19c0b582c71b52cbc5b0d393262d49710f1ed0f3147e65dedbc1176"
+        assert _digest(agreement_matrix(aln, jc)) == (
+            "a306f49ca19c0b582c71b52cbc5b0d393262d49710f1ed0f3147e65dedbc1176")
 
 
 class TestClosePairs:

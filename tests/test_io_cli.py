@@ -269,6 +269,10 @@ class TestPipelineCommand:
         lines = (out / "u_values.csv").read_text().splitlines()
         assert lines[0] == "site,U_value"
         assert len(lines) == 20001
+        report = (out / "report.txt").read_text().splitlines()
+        assert "site_statistics.status=ok" in report
+        for key in ("bin_size", "abundant_bin", "reconstruct_topology"):
+            assert not any(key in line for line in report), key
 
     def test_config_file_supplies_defaults(self, sim_dir, tmp_path):
         cfg = tmp_path / "defaults.txt"

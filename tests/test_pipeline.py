@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 import rasphy.clustering
+import rasphy.trees
 from rasphy import (EmptyPairSet, PipelineConfig, RateDistribution,
                     RegularityParams, SubstitutionModel,
                     generate_complete_binary,
@@ -83,6 +86,40 @@ class TestRunPipeline:
         statuses = [rec.status for rec in report.stages]
         assert statuses == ["ok", "ok", "failed"] + ["skipped"] * 7
         assert report.stages[1].detail == {"candidate_pairs": 0}
+
+    def test_tree_metric_computed_once(self, monkeypatch):
+        # count calls through every rasphy namespace that imported it
+        calls = []
+        original = rasphy.trees.tree_metric
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        for name, mod in list(sys.modules.items()):
+            if (name == "rasphy" or name.startswith("rasphy.")) and \
+                    getattr(mod, "tree_metric", None) is original:
+                monkeypatch.setattr(mod, "tree_metric", counted)
+        tree, aln, rates = make_instance(n=24, k=10_000, seed=5)
+        report = run_pipeline(aln, PipelineConfig(reg=REG, rates=rates),
+                              truth=tree)
+        report.raise_if_failed()
+        assert report.certificate is not None
+        assert report.distortion is not None
+        assert len(calls) == 1
+
+    def test_stop_after_a_stage(self):
+        tree, aln, rates = make_instance(n=24, k=10_000, seed=5)
+        cfg = PipelineConfig(reg=REG, rates=rates)
+        full = run_pipeline(aln, cfg)
+        report = run_pipeline(aln, cfg, stop_after="site_statistics")
+        assert report.ok
+        assert [rec.name for rec in report.stages] == [
+            "agreement_matrix", "close_pairs", "sparsify", "site_statistics"]
+        assert np.array_equal(report.u_values, full.u_values)
+        assert report.assignment is None and report.topology is None
+        with pytest.raises(ValueError, match="unknown stage"):
+            run_pipeline(aln, cfg, stop_after="bin_size")
 
     def test_assumption_gate(self):
         tree, aln, rates = make_instance(n=16, k=500, seed=9)
