@@ -155,36 +155,96 @@ def sparsity_constant(params: RegularityParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: Bytes of one float32 one-hot block in the match-counting kernel.  At
-#: n=512 and r=4, 16 and 32 MiB ran fastest of 4 to 64 MiB.
+#: Bytes of the float32 block that holds one chunk of encoded sites in
+#: the match-counting kernel.  At n=512 and r=4, 16 and 32 MiB ran
+#: fastest of 4 to 64 MiB.
 CHUNK_BYTES = 16 * 2**20
 
+#: Bit ``x`` is the parity of ``x``, for every ``x < 32``.
+_PARITY = np.uint32(0x96696996)
+#: The bits of float32 1.0; setting bit 31 as well gives -1.0.
+_ONE_BITS = 0x3F800000
+#: The sign planes are written in pieces of this many bytes, so that the
+#: four passes over a piece find it in cache.
+_PIECE_BYTES = 2**18
 
-def _match_counts(data: np.ndarray, r: int) -> np.ndarray:
-    """How many sites each leaf pair agrees at, as a float64 ``(n, n)``.
 
-    Walks the sites in chunks.  Per chunk and state it counts with a
-    float32 one-hot product, sums the states into a float32 partial and
-    adds that partial into the float64 total.  A partial entry counts
-    sites of one chunk, so every sum BLAS forms is an integer no larger
-    than the chunk's site count; at most 2**24 sites per chunk keeps
-    them all exact in float32.  The counts are thus the exact integers,
-    whatever order BLAS sums in.  The one-hot block of a chunk takes at
-    most ``CHUNK_BYTES``.
+def _sign_plane(block: np.ndarray, m: int, bits: np.ndarray) -> None:
+    """Write the Walsh sign ``(-1) ** popcount(s & m)`` of every state
+    ``s`` of ``block`` as a float32 into ``bits``, a uint32 view of the
+    float32 block.  Needs ``m < 32``."""
+    step = max(1, _PIECE_BYTES // (4 * bits.shape[1]))
+    for i in range(0, len(block), step):
+        x = bits[i:i + step]
+        np.bitwise_and(block[i:i + step], m, out=x, casting="unsafe")
+        np.right_shift(_PARITY, x, out=x)
+        np.left_shift(x, 31, out=x)
+        np.bitwise_or(x, _ONE_BITS, out=x)
+
+
+def _match_counts(data: np.ndarray, r: int, sites=None) -> np.ndarray:
+    """How many of the sites each leaf pair agrees at, as a float64
+    ``(n, n)``.  ``sites`` selects site indices; ``None`` takes them all.
+
+    Walks the sites in chunks, gathering a chunk's rows when ``sites``
+    is given, and encodes each chunk into float32 planes whose products
+    ``X.T @ X`` it sums into a float32 partial; the partial adds into a
+    float64 total.  When ``r`` is a power of two up to 32 the planes are
+    the Walsh signs ``X_m(s) = (-1) ** popcount(s & m)`` for ``m = 1 ..
+    r-1``: since ``sum_m X_m(s) X_m(t)`` over ``m = 0 .. r-1`` is ``r``
+    when ``s == t`` and 0 otherwise, and ``X_0 = 1``, the counts are
+    ``(k + total) / r``, from ``r - 1`` products.  Otherwise the planes
+    are the ``r`` one-hot indicators ``[s == x]`` and the total is the
+    counts.
+
+    Exactness: a product entry is a sum of ``+-1`` (or 0/1) over the
+    chunk's sites, so every sum BLAS forms is an integer of magnitude at
+    most the chunk's site count.  A sign partial adds ``r - 1`` of them,
+    and a one-hot partial counts agreeing sites, so chunks of at most
+    ``2**24 // (r - 1)`` (signs) or ``2**24`` (one-hot) sites keep every
+    float32 value an integer of magnitude at most 2**24, which float32
+    holds exactly.  The counts are thus the exact integers, whatever
+    order BLAS sums in.  The float32 block of a chunk takes at most
+    ``CHUNK_BYTES``; the signs are written into it in place, and a
+    gathered chunk adds its uint8 rows, a quarter of the block.
     """
-    k, n = data.shape
-    rows = min(2**24, CHUNK_BYTES // (4 * max(n, 1)))
+    k = data.shape[0] if sites is None else len(sites)
+    n = data.shape[1]
+    signs = 2 <= r <= 32 and r & (r - 1) == 0
+    planes = range(1, r) if signs else range(r)
+    rows = min(2**24 // (r - 1 if signs else 1),
+               CHUNK_BYTES // (4 * max(n, 1)))
     counts = np.zeros((n, n))
     buf = np.empty((min(rows, k), n), dtype=np.float32)
     for start in range(0, k, rows):
-        block = data[start:start + rows]
+        if sites is None:
+            block = data[start:start + rows]
+        else:
+            block = data[sites[start:start + rows]]
         hot = buf[:len(block)]
         part = np.zeros((n, n), dtype=np.float32)
-        for x in range(r):
-            np.equal(block, x, out=hot)
+        for m in planes:
+            if signs:
+                _sign_plane(block, m, hot.view(np.uint32))
+            else:
+                np.equal(block, m, out=hot)
             part += hot.T @ hot
         counts += part
+        del block  # a gathered chunk goes before the next one comes
+    if signs:
+        counts += k
+        counts /= r
     return counts
+
+
+def _agreement(aln: Alignment, model: SubstitutionModel,
+               sites=None) -> np.ndarray:
+    """:func:`agreement_matrix` over the site indices ``sites``, or over
+    all sites for ``None``."""
+    k = aln.k if sites is None else len(sites)
+    q = (_match_counts(aln.data, aln.r, sites) / k - model.q_inf) / model.p_inf
+    np.fill_diagonal(q, 1.0)
+    return q
 
 
 def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
@@ -197,16 +257,16 @@ def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
     1.0 (a leaf always agrees with itself), which :func:`sparsify`
     relies on to discard pairs sharing a leaf.
 
-    The match counts come from float32 one-hot products over chunks of
-    at most 2**24 sites, and float32 holds every integer up to 2**24, so
-    they are exact; the chunks add up in float64.  Besides a few
-    ``(n, n)`` arrays, the working memory is one one-hot block of at
+    The match counts come from float32 products over site chunks: ``r -
+    1`` products of +-1 Walsh sign planes when ``r`` is a power of two up
+    to 32, ``r`` one-hot products otherwise.  A chunk holds at most
+    ``2**24 // (r - 1)`` sites (signs) or ``2**24`` (one-hot), so every
+    float32 value is an integer of magnitude at most 2**24, which
+    float32 holds exactly; the chunks add up in float64.  Besides a few
+    ``(n, n)`` arrays, the working memory is one float32 block of at
     most ``CHUNK_BYTES``, whatever the number of sites.
     """
-    counts = _match_counts(aln.data, aln.r)
-    q = (counts / aln.k - model.q_inf) / model.p_inf
-    np.fill_diagonal(q, 1.0)
-    return q
+    return _agreement(aln, model)
 
 
 def close_pairs(q: np.ndarray, t: ClusteringThresholds) -> PairSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import agreement_matrix
+from .clustering import _agreement
 from .models import Alignment, SubstitutionModel
 
 __all__ = [
@@ -84,13 +84,13 @@ def bin_agreement(aln: Alignment, bin_sites, model: SubstitutionModel) -> np.nda
 
     With the whole site range this coincides with the global agreement
     matrix; on an abundant bin its expectation is approximately
-    ``exp(-lam* d(a, b))``.
+    ``exp(-lam* d(a, b))``.  The counting kernel gathers the bin's rows
+    one site chunk at a time, so the bin is never copied whole.
     """
     idx = np.asarray(bin_sites, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("site bin is empty")
-    sub = Alignment(aln.data[idx], aln.r, None)
-    return agreement_matrix(sub, model)
+    return _agreement(aln, model, idx)
 
 
 def distorted_metric(qstar: np.ndarray) -> DistortedMetric:

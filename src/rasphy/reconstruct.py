@@ -32,6 +32,25 @@ new pseudo-leaf's usable pairs as a run.  A pair's distance never
 changes once written, so the order stays exact.  The pseudo-leaf's
 distance row is computed over arrays in one step.
 
+A failed candidate keeps its verdict with its witness list.  The
+verdict reads only the entries of ``d`` among the pair and its
+witnesses, and entries never change once written, so the verdict stands
+while the list does.  A merge of ``(a, b)`` into ``v`` changes the list
+in two ways only:
+
+- ``a`` or ``b`` is a member.  A merged node never returns, so the list
+  has changed for good.
+- ``v`` is trusted from both ends and comes before the last member, or
+  the list is shorter than ``witness_count``.  ``v`` then holds a place
+  until it merges in turn.  Its id exceeds every live id, so a tie with
+  the last member's key leaves it out.
+
+A candidate popped again with its list unchanged fails again without a
+test.  The cache also keeps whether any witness pair was trusted, which
+decides between :class:`AmbiguousCherry` and
+:class:`DisconnectedTrustGraph` when no candidate passes.  A test checks
+all witness pairs of a candidate in one array expression.
+
 Every comparison is homogeneous in the distance scale, so a global
 rescaling of the input (with the configuration scaled along) cannot
 change any decision; the unknown scaling factor of the estimated metric
@@ -40,14 +59,16 @@ is therefore harmless.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distances import DistortedMetric
-from .trees import (Phylogeny, StatisticalFailure, Topology, quartet_margin,
-                    tree_metric)
+from .trees import Phylogeny, StatisticalFailure, Topology, tree_metric
+# not called here; perfbench/spans.py looks this name up in this module
+from .trees import quartet_margin  # noqa: F401
 
 __all__ = [
     "AmbiguousCherry",
@@ -130,7 +151,9 @@ class _CandidateQueue:
         return bool(self._heap)
 
     def add_run(self, vals: np.ndarray, a: np.ndarray, b: np.ndarray):
-        order = np.lexsort((b, a, vals))
+        # the pairs arrive in (a, b) order, so a stable sort on the value
+        # puts them in the order (value, a, b)
+        order = np.argsort(vals, kind="stable")
         run = (vals[order], a[order], b[order])
         self._runs.append(run)
         self._push_head(len(self._runs) - 1, 0)
@@ -158,18 +181,82 @@ def _witnesses(d: np.ndarray, act: np.ndarray, a: int, b: int, cap: float,
     da, db = d[a, act], d[b, act]
     keep = (da < cap) & (db < cap) & (act != a) & (act != b)
     ids = act[keep]
-    order = np.lexsort((ids, np.minimum(da, db)[keep]))
-    return ids[order[:count]]
+    key = np.minimum(da, db)[keep]
+    if ids.size > count:
+        # keep every node up to the count-th smallest key, ties included
+        near = key <= np.partition(key, count - 1)[count - 1]
+        ids, key = ids[near], key[near]
+    # ``act`` ascends, so a stable sort on the key orders by (key, id)
+    return ids[np.argsort(key, kind="stable")[:count]]
 
 
-def _confirmed(d: np.ndarray, a: int, b: int, pairs, margin_floor: float) -> bool:
-    """True iff every witness pair ``(c, e)`` splits ``ab|ce`` with margin
-    above ``margin_floor``; stops at the first pair that does not."""
-    for c, e in pairs:
-        split, margin = quartet_margin(d, a, b, c, e)
-        if set(split[0]) not in ({a, b}, {c, e}) or margin <= margin_floor:
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(m: int) -> tuple:
+    """Index pairs ``i < j`` of ``m`` items, in row order."""
+    return np.triu_indices(m, k=1)
+
+
+def _test_cherry(d: np.ndarray, a: int, b: int, w: np.ndarray, cap: float,
+                 margin_floor: float) -> tuple:
+    """``(tested, confirmed)`` for the candidate ``(a, b)`` and its
+    witnesses ``w``.
+
+    ``tested`` is whether some witness pair ``(c, e)`` is trusted.
+    ``confirmed`` is whether every trusted pair splits ``ab|ce`` with
+    margin above ``margin_floor``: the sum ``s1 = d[a, b] + d[c, e]``
+    comes first in a stable sort of the three four-point sums, and the
+    next sum exceeds it by more than the floor.  Every entry is below
+    ``cap``, so no sum is NaN; a NaN margin passes, as ``margin <=
+    margin_floor`` is false for it.
+    """
+    i, j = _upper_pairs(w.size)
+    c, e = w[i], w[j]
+    dce = d[c, e]
+    trusted = dce < cap
+    if not trusted.any():
+        return False, False
+    c, e = c[trusted], e[trusted]
+    s1 = d[a, b] + dce[trusted]
+    s2 = d[a, c] + d[b, e]
+    s3 = d[a, e] + d[b, c]
+    wins = (s1 <= s2) & (s1 <= s3) & ~(np.minimum(s2, s3) - s1 <= margin_floor)
+    return True, bool(wins.all())
+
+
+def _verdict_stands(d: np.ndarray, x: int, y: int, w: tuple, cap: float,
+                    count: int, merges) -> bool:
+    """Whether the witness list ``w`` of the pair ``(x, y)`` is still
+    its list after the merges ``(a, b, v)``.
+
+    The list stays ``w`` while every member lives and no other trusted
+    node comes before its last member (no other trusted node at all,
+    when the list is short of ``count``).  Only merge products join the
+    active nodes, and a product's id exceeds every live id, so a product
+    comes before the last member iff its key is smaller.  Such a product
+    holds a place in the list until it merges in turn; a merged member
+    never comes back.
+    """
+    full = len(w) == count
+    last = min(d[x, w[-1]], d[y, w[-1]]) if full else None
+    ahead = set()  # live merge products that take a place in the list
+    for a, b, v in merges:
+        if a in w or b in w:
             return False
-    return True
+        ahead.discard(a)
+        ahead.discard(b)
+        dxv, dyv = d[x, v], d[y, v]
+        if dxv < cap and dyv < cap and (not full or min(dxv, dyv) < last):
+            ahead.add(v)
+    return not ahead
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a short vector, bit for bit."""
+    s = np.sort(x)
+    m = s.size // 2
+    if np.isnan(s[-1]):
+        return float("nan")
+    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2)
 
 
 def _pseudo_leaf_row(dac: np.ndarray, dbc: np.ndarray, dab: float,
@@ -236,6 +323,9 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     queue = _CandidateQueue()
     queue.add_run(vals[usable], ii[usable], jj[usable])
 
+    # failed candidates: (a, b) -> (merges seen, witnesses, tested)
+    verdicts = {}
+    merges = []  # (a, b, v) of each merge so far
     for v in range(n, total):
         act = np.flatnonzero(alive)
         failed = []  # popped live candidates that did not merge
@@ -244,19 +334,22 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
             entry = queue.pop()
             _, a, b = entry
             if not (alive[a] and alive[b]):
+                verdicts.pop((a, b), None)
                 continue
-            witnesses = _witnesses(d, act, a, b, cap, cfg.witness_count)
-            w = witnesses.tolist()
-            pairs = [
-                (c, e)
-                for i_, c in enumerate(w)
-                for e in w[i_ + 1:]
-                if d[c, e] < cap
-            ]
-            if pairs:
-                tested_any = True
-                if _confirmed(d, a, b, pairs, margin_floor):
+            cached = verdicts.get((a, b))
+            if cached is not None and _verdict_stands(
+                    d, a, b, cached[1], cap, cfg.witness_count,
+                    merges[cached[0]:]):
+                _, w, tested = cached
+            else:
+                witnesses = _witnesses(d, act, a, b, cap, cfg.witness_count)
+                tested, confirmed = _test_cherry(d, a, b, witnesses, cap,
+                                                 margin_floor)
+                if confirmed:
                     break
+                w = tuple(witnesses.tolist())
+            verdicts[(a, b)] = (len(merges), w, tested)
+            tested_any = tested_any or tested
             failed.append(entry)
         else:
             if tested_any:
@@ -272,7 +365,7 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         # merge the confirmed cherry at its apex
         dab = d[a, b]
         heights = 0.5 * (dab + d[a, witnesses] - d[b, witnesses])
-        h_a = float(np.median(heights))
+        h_a = _median(heights)
         h_a = min(max(h_a, 0.0), dab)
         h_b = dab - h_a
         clades.append((clades[a], clades[b]))
@@ -282,6 +375,7 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         d[v, others] = row
         d[others, v] = row
         alive[v] = True
+        merges.append((a, b, v))
         for entry in failed:
             queue.push(entry)
         keep = row < cap

@@ -82,11 +82,9 @@ class TestAgreementMatrix:
         assert peak < 48 * 2**20
 
 
-@pytest.mark.parametrize("n, r, k", [(300, 4, 13_982), (7, 20, 5)])
-def test_counts_equal_float64_one_hot_reference(n, r, k):
-    # at n=300 a site chunk holds 13 981 sites: k crosses it by one
-    rng = np.random.default_rng(n)
-    data = rng.integers(0, r, size=(k, n)).astype(np.uint8)
+def _reference_agreement(data, r):
+    """The agreement matrix from float64 one-hot products over all sites."""
+    k, n = data.shape
     counts = np.zeros((n, n))
     for x in range(r):
         hot = (data == x).astype(np.float64)
@@ -94,7 +92,32 @@ def test_counts_equal_float64_one_hot_reference(n, r, k):
     model = SubstitutionModel.uniform(r)
     want = (counts / k - model.q_inf) / model.p_inf
     np.fill_diagonal(want, 1.0)
-    assert np.array_equal(agreement_matrix(Alignment(data, r=r), model), want)
+    return want
+
+
+@pytest.mark.parametrize("n, r, k", [(300, 2, 13_982), (300, 3, 13_982),
+                                     (300, 4, 13_982), (300, 8, 13_982),
+                                     (300, 16, 13_982), (7, 20, 5)])
+def test_counts_equal_float64_one_hot_reference(n, r, k):
+    # at n=300 a site chunk holds 13 981 sites, with sign planes (r = 2,
+    # 4, 8, 16) as with one-hot planes (r = 3): k crosses it by one
+    rng = np.random.default_rng(n)
+    data = rng.integers(0, r, size=(k, n)).astype(np.uint8)
+    got = agreement_matrix(Alignment(data, r=r), SubstitutionModel.uniform(r))
+    assert np.array_equal(got, _reference_agreement(data, r))
+
+
+def test_sign_partial_stays_below_2_24():
+    # r = 16 sums 15 sign products per chunk.  At n=3 the byte bound alone
+    # would allow chunks of 2**24 // 12 = 1 398 101 sites, where the equal
+    # pair (0, 1) sums to 15 * 1 398 101 > 2**24, an odd number float32
+    # cannot hold; the kernel caps a chunk at 2**24 // 15 sites instead
+    k, r = 1_398_101, 16
+    rng = np.random.default_rng(3)
+    data = rng.integers(0, r, size=(k, 3)).astype(np.uint8)
+    data[:, 1] = data[:, 0]
+    got = agreement_matrix(Alignment(data, r=r), SubstitutionModel.uniform(r))
+    assert np.array_equal(got, _reference_agreement(data, r))
 
 
 def _digest(q):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ class TestBinAgreement:
         data = np.zeros((10, 2), dtype=np.uint8)
         with pytest.raises(ValueError, match="empty"):
             bin_agreement(Alignment(data, r=2), [], cfn)
+
+    def test_bin_is_not_copied_whole(self, jc):
+        # a copy of the bin's rows alone would take 24 MiB here, on top of
+        # the kernel's 16 MiB float32 block
+        rng = np.random.default_rng(0)
+        aln = Alignment(rng.integers(0, 4, size=(200_000, 256))
+                        .astype(np.uint8), r=4)
+        every_second = np.arange(0, aln.k, 2)
+        tracemalloc.start()
+        try:
+            bin_agreement(aln, every_second, jc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBinAgreementGolden:

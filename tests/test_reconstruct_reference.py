@@ -15,6 +15,7 @@ from rasphy import (AmbiguousCherry, DisconnectedTrustGraph,
                     ReconstructionConfig, RegularityParams,
                     generate_random_regular, inject_distortion,
                     reconstruct_topology, tree_metric)
+from rasphy import reconstruct
 from rasphy.distances import DistortedMetric
 from rasphy.reconstruct import _resolve_trust_cap
 from rasphy.trees import Topology, quartet_margin
@@ -153,13 +154,47 @@ def _outcome(fn, dhat, cfg, labels):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("n", [4, 5, 8, 16, 32, 64, 128])
+def _quick_cases(n):
+    """``_cases(n)`` without the infinite trust cap and the ``tau =
+    0.08`` distortion, where the reference takes longest; the rest still
+    reach every outcome."""
+    for dhat, cfg in _cases(n):
+        if cfg.trust_cap != np.inf and cfg.tau != 0.08:
+            yield dhat, cfg
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 16, 32, 64, 128, 256])
 def test_same_decisions_as_reference(n):
     labels = [f"t{i}" for i in range(n)]
     kinds = set()
-    for dhat, cfg in _cases(n):
+    for dhat, cfg in (_cases(n) if n <= 128 else _quick_cases(n)):
         want = _outcome(reference_reconstruct_topology, dhat, cfg, labels)
         got = _outcome(reconstruct_topology, dhat, cfg, labels)
         assert got == want, (cfg, want, got)
         kinds.add(want[0] if isinstance(want, tuple) else "tree")
     assert kinds == {"tree", "AmbiguousCherry", "DisconnectedTrustGraph"}
+
+
+def test_no_candidate_retested_with_unchanged_witnesses(monkeypatch):
+    # a failed candidate is tested again only after a merge changed its
+    # witness list, so two tests of one candidate never see the same list
+    real = reconstruct._witnesses
+    calls = []
+
+    def spy(d, act, a, b, cap, count):
+        w = real(d, act, a, b, cap, count)
+        calls.append(((a, b), tuple(w.tolist())))
+        return w
+
+    monkeypatch.setattr(reconstruct, "_witnesses", spy)
+    n = 128
+    retested = 0
+    for dhat, cfg in _cases(n):
+        calls.clear()
+        _outcome(reconstruct_topology, dhat, cfg, [f"t{i}" for i in range(n)])
+        last = {}
+        for pair, w in calls:
+            assert last.get(pair) != w, (cfg, pair, w)
+            retested += pair in last
+            last[pair] = w
+    assert retested > 0
