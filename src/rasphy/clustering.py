@@ -157,7 +157,9 @@ def sparsity_constant(params: RegularityParams) -> float:
 
 #: Bytes of the float32 block that holds one chunk of encoded sites in
 #: the match-counting kernel.  At n=512 and r=4, 16 and 32 MiB ran
-#: fastest of 4 to 64 MiB.
+#: fastest of 4 to 64 MiB.  Whatever the bytes allow, a chunk holds at
+#: most ``2**24 // (r - 1)`` sites with sign planes and ``2**24`` with
+#: one-hot planes, so that its float32 sums stay exact integers.
 CHUNK_BYTES = 16 * 2**20
 
 #: Bit ``x`` is the parity of ``x``, for every ``x < 32``.
