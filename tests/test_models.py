@@ -86,6 +86,20 @@ class TestRateDistribution:
                            / math.sqrt(2 * math.pi))
             assert rates.phi(s) == pytest.approx(oracle, rel=1e-9)
 
+    def test_lognormal_phi_golden_bits(self):
+        # exact bits of the adaptive quadrature and of the bisection on it,
+        # so moving or changing the quadrature cannot shift a result
+        rates = RateDistribution.lognormal(0.6)
+        for s, want in ((0.05, "0x1.e7497ad61569ap-1"),
+                        (0.5, "0x1.44921c99e7365p-1"),
+                        (2.0, "0x1.c1dcd1b2f10c7p-3"),
+                        (12.5, "0x1.03f243da07d60p-8")):
+            assert rates.phi(s).hex() == want
+        for y, want in ((0.95, "0x1.a8d9ac41f0000p-5"),
+                        (0.5, "0x1.96f1c48a85000p-1"),
+                        (0.02, "0x1.d0aaccc791200p+2")):
+            assert rates.phi_inverse(y).hex() == want
+
     def test_phi_inverse_identity_at_one(self):
         assert RateDistribution.gamma(3.0).phi_inverse(1.0) == 0.0
 
