@@ -118,7 +118,8 @@ def read_alignment(path) -> Alignment:
         if len(header) != 3:
             raise ValueError("alignment header must be 'k n r'")
         k, n, r = map(int, header)
-        data = np.loadtxt(fh, dtype=np.uint8, ndmin=2, max_rows=k)
+        dtype = np.uint8 if r <= 256 else np.int64
+        data = np.loadtxt(fh, dtype=dtype, ndmin=2, max_rows=k)
     if data.shape != (k, n):
         raise ValueError(f"alignment body {data.shape} does not match "
                          f"header ({k}, {n})")

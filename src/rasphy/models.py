@@ -20,6 +20,9 @@ The module provides
 * ``exact_leaf_distribution``   exact enumeration oracle for small trees,
 * ``check_assumption``      the model regularity test tying the rate law
   to the distance cap M.
+
+scipy is imported only by the lognormal law's ``phi``, when it first
+integrates, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .trees import Phylogeny, RegularityParams
 
@@ -195,7 +197,11 @@ class RateDistribution:
     # -- transform ----------------------------------------------------------
 
     def phi(self, s: float) -> float:
-        """``E[exp(-s*lam)]`` for ``s >= 0``."""
+        """``E[exp(-s*lam)]`` for ``s >= 0``.
+
+        The lognormal law integrates with ``scipy.integrate.quad``, which
+        is imported here on first use; the other laws need no scipy.
+        """
         if s < 0.0:
             raise ValueError("phi is defined for s >= 0")
         if s == 0.0:
@@ -209,6 +215,8 @@ class RateDistribution:
         cached = self._phi_cache.get(s)
         if cached is not None:
             return cached
+        from scipy import integrate
+
         sig = self.sigma
         mu = -0.5 * sig * sig
         norm = 1.0 / math.sqrt(2.0 * math.pi)
@@ -340,7 +348,12 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     site: draw the scaling factor, draw the root state from ``pi``, then
     walk the tree copying each parent state with probability
     ``exp(-lam * mu_e)`` and redrawing from ``pi`` otherwise.  ``seed``
-    must be below ``2**63``.
+    must be below ``2**63``, and ``model.r`` at most 256, since states
+    are stored as ``uint8``.
+
+    Besides the output, the walk holds one vertex-major block of keep
+    flags and states, one byte each per vertex and site, in chunks of
+    ``(1 << 23) // n_vertices`` sites: 16 MiB at most.
 
     The walk starts at :attr:`Phylogeny.root`; by reversibility of the
     channel the leaf distribution does not depend on this choice.
@@ -371,6 +384,9 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
         # Philox turns a key list holding such a seed into float64, which
         # rounds it: seeds from 2**63 up would share streams
         raise ValueError(f"seed must be below 2**63, got {seed}")
+    if model.r > 256:
+        raise ValueError("states are stored as uint8, so r must be at "
+                         f"most 256, got {model.r}")
     n = p.n_leaves
     n_vertices = p.n_vertices
     edges = p.preorder_edges()
@@ -398,9 +414,10 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     lambdas = np.ones(k)  # the constant law's rates
     # Sites are drawn into a cache-sized tile, one row of doubles per site,
     # and reduced there to keep flags and fresh states.  Those go into a
-    # vertex-major chunk block (one byte each, 64 MiB at most), so the
-    # walk handles each edge with one contiguous pass over the chunk.
-    chunk = max(1, min(k, (1 << 25) // n_vertices))
+    # vertex-major chunk block (one byte each, 2 * 2**23 B = 16 MiB at
+    # most, the bound of clustering.CHUNK_BYTES), so the walk handles
+    # each edge with one contiguous pass over the chunk.
+    chunk = max(1, min(k, (1 << 23) // n_vertices))
     tile = np.empty((max(1, min(chunk, (1 << 17) // width)), width))
     for start in range(0, k, chunk):
         stop = min(k, start + chunk)

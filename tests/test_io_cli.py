@@ -47,7 +47,17 @@ class TestFileFormats:
         assert header == "40 6 4"
         again = rio.read_alignment(path)
         assert np.array_equal(again.data, aln.data)
+        assert again.data.dtype == np.uint8
         assert again.r == 4 and again.hidden_lambdas is None
+
+    def test_alignment_round_trip_above_256_states(self, tmp_path):
+        data = np.random.default_rng(0).integers(0, 300, (20, 4))
+        data[0, 0] = 299
+        path = tmp_path / "aln.txt"
+        rio.write_alignment(path, Alignment(data, 300))
+        again = rio.read_alignment(path)
+        assert again.r == 300
+        assert np.array_equal(again.data, data)
 
     @pytest.mark.parametrize("r, k, n", [
         (2, 5, 3), (4, 40, 6), (20, 30, 7), (256, 40, 9), (300, 20, 4),
@@ -199,6 +209,16 @@ class TestSimulateCommand:
         assert "2**63" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_r_above_256_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli([
+            "simulate", "--complete-h", "3", "--mu", "0.2",
+            "--rates", "constant", "--k", "10", "--r", "300",
+            "--out-dir", str(out)])
+        assert code == 2
+        assert "at most 256" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_source_is_usage_error(self, tmp_path):
         code = run_cli(["simulate", "--rates", "constant", "--k", "10",
                         "--out-dir", str(tmp_path / "x")])
@@ -327,11 +347,22 @@ class TestEvalCommand:
                         "--tree2", str(t2)]) == 2
 
     def test_entry_point_runs_as_module(self, tmp_path):
+        # neither the import nor a run without the lognormal law loads
+        # scipy.integrate, which more than doubles start time and memory
         t = tmp_path / "t.nwk"
         t.write_text("((a:1,b:1):1,(c:1,d:1):1);\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "rasphy", "eval", "rf",
+            [sys.executable, "-X", "importtime", "-m", "rasphy", "eval", "rf",
              "--tree1", str(t), "--tree2", str(t)],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "rf=0"
+        # -X importtime lists every module the run imports on stderr
+        assert "rasphy.cli" in proc.stderr
+        assert "scipy.integrate" not in proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rasphy; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

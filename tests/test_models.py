@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,9 +310,9 @@ class TestSimulationContract:
         assert got == GOLDEN_DIGESTS[shape, law]
 
     def test_rows_do_not_depend_on_batching(self, jc, two_speed):
-        # at n=2048 the simulator draws 16 sites per tile and 8196 per
-        # chunk, so k=8300 spans two chunks; m=1050 ends inside a tile and
-        # m=8250 inside the second chunk
+        # at n=2048 the simulator draws 16 sites per tile and 2049 per
+        # chunk, so k=8300 spans five chunks; m=1050 ends inside a tile and
+        # m=8250 inside the last chunk
         tree = generate_random_regular(2048, RegularityParams(0.1, 0.2, 1.5),
                                        seed=1)
         full = simulate_alignment(tree, jc, two_speed, 8300, seed=9)
@@ -320,9 +321,10 @@ class TestSimulationContract:
             assert np.array_equal(part.data, full.data[:m])
             assert np.array_equal(part.hidden_lambdas,
                                   full.hidden_lambdas[:m])
-        # and the sites on either side of the chunk boundary are the
-        # sites the stream layout defines
-        for site in (0, 8195, 8196, 8299):
+        # and the sites on either side of the first and the last chunk
+        # boundary (2049 and 8196 = 4 * 2049) are the sites the stream
+        # layout defines
+        for site in (0, 2048, 2049, 8195, 8196, 8299):
             lam, leaves = _reference_site(tree, jc, two_speed, 9, site)
             assert full.hidden_lambdas[site] == lam
             assert np.array_equal(full.data[site], leaves)
@@ -332,6 +334,34 @@ class TestSimulationContract:
         # Philox would round such a seed through float64 and alias it
         with pytest.raises(ValueError, match="2\\*\\*63"):
             simulate_alignment(five_leaf, jc, two_speed, 10, seed=seed)
+
+    def test_r_above_256_rejected(self, five_leaf, two_speed):
+        # states are uint8, so states above 255 would wrap
+        with pytest.raises(ValueError, match="at most 256"):
+            simulate_alignment(five_leaf, SubstitutionModel.uniform(300),
+                               two_speed, 10, seed=0)
+
+    def test_r_256_reaches_state_255(self, five_leaf, two_speed):
+        model = SubstitutionModel.uniform(256)
+        aln = simulate_alignment(five_leaf, model, two_speed, 2000, seed=0)
+        assert aln.data.dtype == np.uint8
+        assert aln.data.max() == 255
+        _, leaves = _reference_site(five_leaf, model, two_speed, 0, 1999)
+        assert np.array_equal(aln.data[1999], leaves)
+
+    def test_working_set_bounded(self, jc, two_speed):
+        # the vertex-major block holds at most 16 MiB; tiles and the
+        # per-tile temporaries stay far below the remaining slack
+        tree = generate_random_regular(512, RegularityParams(0.1, 0.2, 1.5),
+                                       seed=1)
+        tracemalloc.start()
+        try:
+            aln = simulate_alignment(tree, jc, two_speed, 20_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = aln.data.nbytes + aln.hidden_lambdas.nbytes
+        assert peak - output <= 32 * 2**20
 
     def test_largest_seed_simulates(self, five_leaf, jc, two_speed):
         seed = 2 ** 63 - 1
