@@ -48,6 +48,14 @@ class DistortedMetric:
             raise ValueError("distance matrix must be symmetric")
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _from_symmetric(cls, values: np.ndarray) -> "DistortedMetric":
+        """Wrap a square float array already known to be symmetric,
+        skipping the transposed comparison of ``__post_init__``."""
+        metric = object.__new__(cls)
+        object.__setattr__(metric, "values", values)
+        return metric
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -99,6 +107,8 @@ def distorted_metric(qstar: np.ndarray) -> DistortedMetric:
     Nonpositive agreement gives ``+inf`` (the pair is beyond the trust
     horizon); values above 1 (possible from normalization noise) clamp
     to the smallest positive distance.  The diagonal is set to zero.
+    Symmetry is checked once, on ``qstar``: the map is elementwise, so a
+    symmetric ``qstar`` gives symmetric distances.
     """
     q = np.asarray(qstar, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -109,7 +119,7 @@ def distorted_metric(qstar: np.ndarray) -> DistortedMetric:
         d = np.where(q > 0.0, -np.log(np.minimum(q, 1.0)), np.inf)
     d[q >= 1.0] = MIN_POSITIVE_DISTANCE
     np.fill_diagonal(d, 0.0)
-    return DistortedMetric(values=d)
+    return DistortedMetric._from_symmetric(d)
 
 
 def verify_distortion(dhat: DistortedMetric, true_scaled: np.ndarray,

@@ -5,7 +5,11 @@ Formats are plain text so downstream plotting and batch tooling can
 consume them without this package:
 
 alignment        header line ``k n r`` then k lines of n space-separated
-                 integer states
+                 integer states; :func:`write_alignment` separates by
+                 single spaces and ends every line with ``\\n``, so with
+                 single-digit states each line is exactly ``2n`` bytes and
+                 :func:`read_alignment` checks and reads that layout in
+                 blocks, falling back to ``np.loadtxt`` for other text
 lambda sidecar   k lines, one positive decimal per line
 rate spec        ``constant`` | ``discrete:l1,p1;l2,p2;...`` |
                  ``gamma:shape`` | ``lognormal:sigma``
@@ -17,6 +21,8 @@ config file      ``key = value`` lines, ``#`` comments
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -94,6 +100,8 @@ def write_alignment(path, aln: Alignment):
     # A row is laid out as cells [separator, digits] and a newline, with no
     # separator before the first cell; dropping the zero bytes then leaves
     # the text, so a block of rows is formatted in a few array passes.
+    # Single digits need no padding: a row is [digit, space] * n with its
+    # last space a newline, already the text.
     top = int(data.max()) if data.size else 0
     width = len(str(top))
     digits = (np.array([str(v) for v in range(top + 1)], dtype=f"S{width}")
@@ -103,6 +111,14 @@ def write_alignment(path, aln: Alignment):
         fh.write(f"{k} {n} {aln.r}\n".encode())
         for start in range(0, k, block_rows):
             block = data[start:start + block_rows]
+            if width == 1:
+                line = np.empty((len(block), max(1, 2 * n)), dtype=np.uint8)
+                line[:, 1::2] = ord(" ")
+                np.add(block, ord("0"), out=line[:, :2 * n:2],
+                       casting="unsafe")
+                line[:, -1] = ord("\n")
+                fh.write(line.tobytes())
+                continue
             line = np.empty((len(block), n * (width + 1) + 1), dtype=np.uint8)
             cells = line[:, :-1].reshape(len(block), n, width + 1)
             cells[:, :1, 0] = 0
@@ -113,16 +129,57 @@ def write_alignment(path, aln: Alignment):
 
 
 def read_alignment(path) -> Alignment:
+    with open(path, "rb") as fh:
+        aln = _read_fixed_width(fh)
+    if aln is not None:
+        return aln
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError("alignment header must be 'k n r'")
         k, n, r = map(int, header)
         dtype = np.uint8 if r <= 256 else np.int64
-        data = np.loadtxt(fh, dtype=dtype, ndmin=2, max_rows=k)
+        data = (np.loadtxt(fh, dtype=dtype, ndmin=2, max_rows=k) if k
+                else np.empty((0, n), dtype=dtype))
     if data.shape != (k, n):
         raise ValueError(f"alignment body {data.shape} does not match "
                          f"header ({k}, {n})")
+    return Alignment(data, r)
+
+
+def _read_fixed_width(fh):
+    """The alignment, if the text has the layout :func:`write_alignment`
+    gives single digits, or None for any other text.
+
+    Rows are ``2n`` bytes (one byte, the newline, at ``n = 0``) and are
+    read in blocks of about 1 MiB into one reused buffer; a block is
+    taken only if its separators are spaces, its last bytes newlines and
+    its digits below ``r``.  The states are uint8, as the general grammar
+    stores them for ``r <= 256``; a byte below ``"0"`` wraps to 208 and
+    up, so one comparison rejects it with every byte above ``"9"``.
+    """
+    head = fh.readline()
+    fields = head.split()
+    if (len(fields) != 3 or b"\r" in head
+            or not all(f.isdigit() for f in fields)):
+        return None
+    k, n, r = map(int, fields)
+    row = max(1, 2 * n)
+    if r > 256 or os.fstat(fh.fileno()).st_size - fh.tell() < k * row:
+        return None
+    data = np.empty((k, n), dtype=np.uint8)
+    block_rows = max(1, (1 << 20) // row)
+    buf = np.empty((min(k, block_rows), row), dtype=np.uint8)
+    below = min(r, 10)
+    for start in range(0, k, block_rows):
+        rows = buf[:min(block_rows, k - start)]
+        out = data[start:start + len(rows)]
+        if (fh.readinto(rows) != rows.nbytes
+                or not (rows[:, 1:-1:2] == ord(" ")).all()
+                or not (rows[:, -1] == ord("\n")).all()
+                or not (np.subtract(rows[:, :2 * n:2], ord("0"), out=out)
+                        < below).all()):
+            return None
     return Alignment(data, r)
 
 

@@ -239,9 +239,10 @@ class RateDistribution:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """``size`` rates as an array, or one rate as a scalar for ``None``."""
         if self.kind == "constant":
-            return np.ones(size)
+            return 1.0 if size is None else np.ones(size)
         if self.kind == "discrete":
             return self._atoms_at(rng.random(size))
         if self.kind == "gamma":
@@ -422,7 +423,7 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     for start in range(0, k, chunk):
         stop = min(k, start + chunk)
         lam = lambdas[start:stop]
-        keep = np.empty((n_vertices, stop - start), dtype=bool)
+        keep = np.empty((n_vertices, stop - start), dtype=np.uint8)
         states = np.empty((n_vertices, stop - start), dtype=np.uint8)
         for t0 in range(0, stop - start, len(tile)):
             t1 = min(stop - start, t0 + len(tile))
@@ -431,7 +432,7 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
                 key[1] = j
                 bits.state = state
                 if continuous:
-                    lam[j - start] = rates.sample(rng, 1)[0]
+                    lam[j - start] = rates.sample(rng)
                 rng.random(out=row)
             if lead:
                 lam[t0:t1] = rates._atoms_at(rows[:, 0])
@@ -443,9 +444,15 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
             for c in cuts:
                 fresh += rows[:, fresh_at:] >= c
             states[:, t0:t1] = fresh.T
-        # parents first: each child copies its parent's final state
+        # Parents first: each child copies its parent's final state where
+        # its keep flag (0 or 1) is set, as child + keep * (parent - child)
+        # in uint8 arithmetic, exact mod 256; three plain passes are much
+        # faster than a masked copy.
+        diff = np.empty(stop - start, dtype=np.uint8)
         for parent, child, _ in edges:
-            np.copyto(states[child], states[parent], where=keep[child])
+            np.subtract(states[parent], states[child], out=diff)
+            diff *= keep[child]
+            states[child] += diff
         data[start:stop] = states[:n].T
     return Alignment(data, model.r, lambdas)
 

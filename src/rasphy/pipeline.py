@@ -185,7 +185,12 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
     instead of raising; use ``report.raise_if_failed()`` to escalate.
     Every other exception propagates.  With ``stop_after`` naming a
     stage, the stages after it neither run nor appear in the report.
+    A ``truth`` whose leaf count differs from the alignment's raises
+    ``ValueError`` before any stage runs.
     """
+    if truth is not None and truth.n_leaves != aln.n:
+        raise ValueError(f"the truth tree has {truth.n_leaves} leaves but "
+                         f"the alignment has {aln.n}")
     stages = _STAGES
     if stop_after is not None:
         names = [stage[0] for stage in _STAGES]

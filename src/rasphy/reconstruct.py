@@ -288,7 +288,8 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     array with ``+inf`` for missing entries; a raw array passes the same
     square and symmetry checks as a :class:`DistortedMetric` and raises
     ``ValueError`` if it fails them.  ``labels`` names the leaves
-    (defaults to ``leaf_0 ..``).
+    (defaults to ``leaf_0 ..``); a list of another length than ``n``
+    raises ``ValueError``.
 
     Contract: if the input is a valid distortion of a tree metric whose
     (rescaled) edge weights lie in ``[f', g']`` with accuracy
@@ -304,6 +305,8 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         raise ValueError("need at least 4 leaves")
     if labels is None:
         labels = [f"leaf_{i}" for i in range(n)]
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} leaves")
     cap = _resolve_trust_cap(values, cfg)
     margin_floor = 4.0 * cfg.tau
 

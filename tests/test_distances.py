@@ -111,6 +111,13 @@ class TestDistortedMetric:
         with pytest.raises(ValueError, match="symmetric"):
             distorted_metric(q)
 
+    def test_asymmetric_rejected_where_both_entries_go_infinite(self):
+        # both entries map to +inf, so only a check of the agreement
+        # itself, not of the distances, sees the asymmetry
+        q = np.array([[1.0, -0.1], [-0.2, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            distorted_metric(q)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_monotone_transform(self, seed):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,50 @@ class TestFileFormats:
         write_rows(tmp_path / "rows.txt", aln)
         assert ((tmp_path / "fast.txt").read_bytes()
                 == (tmp_path / "rows.txt").read_bytes())
+        again = rio.read_alignment(tmp_path / "fast.txt")
+        assert again.r == r and again.data.shape == (k, n)
+        assert np.array_equal(again.data, aln.data)
+
+    @pytest.mark.parametrize("text", [
+        "2 3 4\r\n0 1 2\r\n3 0 1\r\n",  # CRLF
+        "2 3 4\n0\t1 2\n3 0 1\n",  # a tab
+        "2 3 4\n0  1 2\n3 0 1\n",  # a double space
+        "2 3 4\n0 1 2 \n3 0 1\n",  # a trailing space
+        "2 3 4\n0 1 2\n3 0 1",  # no final newline
+        "2 3 4\n0 1 2\n3 0 1\n2 2 2\n9 9\n",  # rows after k are ignored
+    ])
+    def test_alignment_grammar_beyond_fixed_width(self, tmp_path, text):
+        path = tmp_path / "aln.txt"
+        path.write_bytes(text.encode())
+        aln = rio.read_alignment(path)
+        assert aln.r == 4 and aln.data.dtype == np.uint8
+        assert np.array_equal(aln.data, [[0, 1, 2], [3, 0, 1]])
+
+    @pytest.mark.parametrize("text, match", [
+        ("2 3 4\n0 1\n3 0 1\n", "columns"),  # a ragged row
+        ("2 3 4\n0 1 2\n3 0\n", "columns"),
+        ("2 3 4\n0 1 2\n", "does not match"),  # too few rows
+        ("2 3 4\n0 1 4\n3 0 1\n", r"\[0, r\)"),  # a state >= r
+    ])
+    def test_malformed_alignment_rejected(self, tmp_path, text, match):
+        path = tmp_path / "aln.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=match):
+            rio.read_alignment(path)
+
+    def test_alignment_read_memory_bounded(self, tmp_path):
+        # the body is read through one reused block of about 1 MiB
+        data = np.random.default_rng(0).integers(0, 4, (20_000, 512))
+        path = tmp_path / "aln.txt"
+        rio.write_alignment(path, Alignment(data.astype(np.uint8), 4))
+        tracemalloc.start()
+        try:
+            aln = rio.read_alignment(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(aln.data, data)
+        assert peak - aln.data.nbytes <= 4 * 2**20
 
     def test_lambda_sidecar_round_trip(self, tmp_path):
         lams = np.array([0.5, 1.5, 1.5, 0.5])
@@ -269,6 +314,21 @@ class TestPipelineCommand:
         chosen = [line.split("=", 1)[1] for line in report.splitlines()
                   if line.startswith("abundant_bin=")]
         assert len(chosen) == 1 and chosen[0] in abundant
+
+    def test_truth_of_other_leaf_count_is_input_error(self, sim_dir,
+                                                       tmp_path, capsys):
+        truth = tmp_path / "tree16.nwk"
+        rio.write_tree(truth, generate_random_regular(
+            16, RegularityParams(0.1, 0.2, 1.5), seed=0))
+        out = tmp_path / "pipe"
+        code = run_cli([
+            "pipeline", "--alignment", str(sim_dir / "alignment.txt"),
+            "--f", "0.1", "--g", "0.2", "--big-m", "1.5",
+            "--truth", str(truth), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "16 leaves" in err and "has 32" in err
+        assert not (out / "pairs.txt").exists()
 
     def test_missing_big_m_is_usage_error(self, sim_dir, tmp_path):
         code = run_cli([

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rasphy.clustering
+import rasphy.pipeline
 import rasphy.trees
 from rasphy import (EmptyPairSet, PipelineConfig, RateDistribution,
                     RegularityParams, SubstitutionModel,
@@ -120,6 +121,17 @@ class TestRunPipeline:
         assert report.assignment is None and report.topology is None
         with pytest.raises(ValueError, match="unknown stage"):
             run_pipeline(aln, cfg, stop_after="bin_size")
+
+    def test_truth_leaf_count_must_match_alignment(self, monkeypatch):
+        tree16, aln16, rates = make_instance(n=16, k=500, seed=9)
+        tree20, aln20, _ = make_instance(n=20, k=500, seed=9)
+        cfg = PipelineConfig(reg=REG, rates=rates)
+        # the check comes before any stage: none may run
+        monkeypatch.setattr(rasphy.pipeline, "_STAGES", ())
+        with pytest.raises(ValueError, match="20 leaves .* has 16"):
+            run_pipeline(aln16, cfg, truth=tree20)
+        with pytest.raises(ValueError, match="16 leaves .* has 20"):
+            run_pipeline(aln20, cfg, truth=tree16)
 
     def test_assumption_gate(self):
         tree, aln, rates = make_instance(n=16, k=500, seed=9)

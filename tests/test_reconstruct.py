@@ -113,6 +113,14 @@ class TestErrors:
         with pytest.raises(ValueError, match="4 leaves"):
             reconstruct_topology(d, NOISELESS)
 
+    def test_labels_must_match_leaf_count(self, reg_01_02):
+        tree = generate_random_regular(8, reg_01_02, seed=0)
+        for labels in (tree.labels[:6], [*tree.labels, "x", "y"]):
+            with pytest.raises(ValueError, match=f"{len(labels)} labels "
+                                                 "for 8 leaves"):
+                reconstruct_topology(tree_metric(tree), NOISELESS,
+                                     labels=labels)
+
     def test_raw_array_must_be_square(self):
         with pytest.raises(ValueError, match="square"):
             reconstruct_topology(np.zeros((5, 4)), NOISELESS)
