@@ -465,3 +465,36 @@ class TestGoldenTrees:
         edges = parse_newick(tree.to_newick()).edges
         assert _sha256(repr(edges)) == (
             "c3fc0765f7da5b6777aaee0e6627be1d1c119d0c7442dc770594859422af49c9")
+
+    def test_complete_binary_vertex_ids(self):
+        edges = generate_complete_binary(5, 0.2).edges
+        assert _sha256(repr(edges)) == (
+            "c4da73e345928de59f4400217cc44b14f1052ce46f5e483be997a9ca652fbe6e")
+
+    def test_nested_vertex_ids(self):
+        topo = Topology.from_nested((
+            (("a", "b"), "c"),
+            ("d", ("e", ("f", "g"))),
+            (("h", "i"), ("j", "k")),
+        ))
+        assert _sha256(repr(topo.edges)) == (
+            "cfe9d7bc5c940c638f32a84b4c2f23f8d6dfc2c5a5f9f5ca88ed27ee5ec213f1")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nested_numbers_vertices_as_newick_does(self, seed):
+        rng = np.random.default_rng(seed)
+        groups = [f"t{i}" for i in range(int(rng.integers(3, 40)))]
+        while len(groups) > 3:
+            i, j = sorted(rng.choice(len(groups), size=2, replace=False))
+            pair = (groups[i], groups[j])
+            del groups[j], groups[i]
+            groups.insert(int(rng.integers(len(groups) + 1)), pair)
+        nested = tuple(groups)
+
+        def text(x):
+            if isinstance(x, str):
+                return x
+            return "(" + ",".join(f"{text(c)}:1" for c in x) + ")"
+
+        assert (Topology.from_nested(nested).edges
+                == parse_newick(text(nested) + ";").edges)
