@@ -24,10 +24,11 @@ Construction roots each tree once, at internal vertex ``n``, with one
 depth-first walk that records every vertex's parent, edge weight, depth
 and block of the walk's leaf order.  ``tree_metric``, ``Phylogeny.splits``,
 ``Phylogeny.path_edges`` and the simulator's ``Phylogeny.preorder_edges``
-all read that record.  The only other code here that walks a tree itself
-is Newick writing and parsing, ``Topology.from_nested`` and the
-generators.  The Newick and nested-tuple code keeps explicit stacks, so
-no tree depth reaches Python's recursion limit.
+all read that record.  Trees given as nested groups, parsed Newick,
+``Topology.from_nested``'s tuples and ``generate_complete_binary``'s
+levels, are numbered by one builder, ``_build_nested``; the vertex ids it
+gives are part of the simulator's contract.  It and ``to_newick`` keep
+explicit stacks, so no tree depth reaches Python's recursion limit.
 
 Everything is immutable after construction and safe to share across
 threads; the random generator takes an explicit seed.
@@ -335,40 +336,15 @@ class Topology(Phylogeny):
         The top level must be a tuple of 3 groups (the unrooted central
         vertex); every other group is a pair.  Strings are leaf labels.
         """
-        labels: list[str] = []
-        todo = [nested]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, str):
-                labels.append(node)
-            else:
-                todo.extend(reversed(tuple(node)))
-        n = len(labels)
-        if n < 3:
-            raise ValueError("need at least 3 leaves")
-        leaf_of = {lab: i for i, lab in enumerate(labels)}
         if not isinstance(nested, tuple) or len(nested) != 3:
             raise ValueError("top level must be a tuple of 3 groups")
-        # ids in preorder; a group's edge to its parent is listed after the
-        # group's own edges
-        edges = []
-        next_id = n + 1
-        open_groups = [(n, iter(nested))]  # the center is vertex n
-        while open_groups:
-            vid, children = open_groups[-1]
-            child = next(children, None)
-            if child is None:
-                open_groups.pop()
-                if open_groups:
-                    edges.append((open_groups[-1][0], vid))
-            elif isinstance(child, str):
-                edges.append((vid, leaf_of[child]))
-            elif len(child) != 2:
+
+        def pair(group):
+            if len(group) != 2:
                 raise ValueError("internal groups must be pairs")
-            else:
-                open_groups.append((next_id, iter(child)))
-                next_id += 1
-        return cls(tuple(edges), labels)
+            return [(child, 1.0) for child in group]
+
+        return cls(*_build_nested([(child, 1.0) for child in nested], pair))
 
     def __eq__(self, other):
         if not isinstance(other, Topology):
@@ -393,6 +369,7 @@ def parse_newick(text: str) -> Phylogeny:
     """
     pos = 0
     n_chars = len(text)
+    labels: list[str] = []  # in the order met, which numbers the leaves
 
     def skip_ws():
         nonlocal pos
@@ -406,7 +383,8 @@ def parse_newick(text: str) -> Phylogeny:
             pos += 1
         if pos == start:
             raise NewickError("expected a leaf label", start)
-        return text[start:pos]
+        labels.append(text[start:pos])
+        return labels[-1]
 
     def parse_length(where: int) -> float:
         nonlocal pos
@@ -465,15 +443,6 @@ def parse_newick(text: str) -> Phylogeny:
     if pos >= n_chars or text[pos] != ";":
         raise NewickError("missing ';' terminator", pos)
 
-    # flatten: assign leaf ids in encounter order, internal ids afterwards
-    labels: list[str] = []
-    todo = [(root_children, open_at)]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, str):
-            labels.append(node)
-        else:
-            todo.extend(child for child, _ in reversed(node[0]))
     if len(labels) < 3:
         raise NewickError(
             f"fewer than 3 leaves ({len(labels)}) cannot form a "
@@ -482,62 +451,68 @@ def parse_newick(text: str) -> Phylogeny:
         )
     if len(set(labels)) != len(labels):
         raise NewickError("duplicate leaf label", 0)
+    if len(root_children) not in (2, 3):
+        raise NewickError(
+            f"root with {len(root_children)} children is not binary", open_at
+        )
 
-    n = len(labels)
-    leaf_iter = iter(range(n))
-    next_internal = [n]
-    edges: list[tuple[int, int, float]] = []
-
-    def open_vertex(group) -> int:
+    def pair(group):
         children, at = group
         if len(children) != 2:
             raise NewickError(
                 f"internal vertex with {len(children)} children is not binary", at
             )
-        next_internal[0] += 1
-        return next_internal[0] - 1
+        return children
 
-    def realize(node) -> int:
-        # ids in preorder; a group's edge to its parent is listed after
-        # the group's own edges
-        if isinstance(node, str):
-            return next(leaf_iter)
-        top = open_vertex(node)
-        open_groups = [(top, iter(node[0]), None)]
-        while open_groups:
-            vid, children, w_up = open_groups[-1]
-            item = next(children, None)
-            if item is None:
-                open_groups.pop()
-                if open_groups:
-                    edges.append((open_groups[-1][0], vid, w_up))
-                continue
-            child, w = item
-            if isinstance(child, str):
-                edges.append((vid, next(leaf_iter), w))
-            else:
-                open_groups.append((open_vertex(child), iter(child[0]), w))
-        return top
+    # a degree-2 root is suppressed: its two edges merge into one
+    return Phylogeny(*_build_nested(root_children, pair))
 
-    if len(root_children) == 2:
-        # suppress the degree-2 root: merge the two root edges
-        (left, wl), (right, wr) = root_children
-        if isinstance(left, str) and isinstance(right, str):
-            raise NewickError("fewer than 3 leaves cannot form a degree-3 "
-                              "internal vertex", 0)
-        lid = realize(left)
-        rid = realize(right)
-        edges.append((lid, rid, wl + wr))
-    elif len(root_children) == 3:
-        vid = next_internal[0]
-        next_internal[0] += 1
-        for child, w in root_children:
-            edges.append((vid, realize(child), w))
-    else:
-        raise NewickError(
-            f"root with {len(root_children)} children is not binary", open_at
-        )
-    return Phylogeny(edges, labels)
+
+def _build_nested(root_items, items_of):
+    """Edges and leaf labels of a tree given as nested groups.
+
+    ``root_items`` are the root's 2 or 3 ``(child, weight)`` items.  A
+    child is a leaf label (a ``str``) or a group, whose own items
+    ``items_of(group)`` lists; it raises the caller's error for a group
+    that is not a pair.  Leaves are numbered in the order met and
+    internal vertices from ``n`` in preorder; each group's edge to its
+    parent is listed after the group's own edges.  A 2-item root is
+    suppressed: one edge of the summed weight joins its two children and
+    is listed last.  Open groups are kept on a stack, so deep trees need
+    no recursion.
+    """
+    labels, edges, ends = [], [], []
+    # internal vertex i is ~i until the leaf count fixes its id n + i
+    top = ~0 if len(root_items) == 3 else None
+    internal = 0 if top is None else 1
+    open_groups = [(top, iter(root_items), None)]
+
+    def attach(child, w):
+        parent = open_groups[-1][0]
+        if parent is None:
+            ends.append((child, w))
+        else:
+            edges.append((parent, child, w))
+
+    while open_groups:
+        vid, items, w_up = open_groups[-1]
+        item = next(items, None)
+        if item is None:
+            open_groups.pop()
+            if open_groups:
+                attach(vid, w_up)
+        elif isinstance(item[0], str):
+            labels.append(item[0])
+            attach(len(labels) - 1, item[1])
+        else:
+            open_groups.append((~internal, iter(items_of(item[0])), item[1]))
+            internal += 1
+    if ends:
+        (a, wa), (b, wb) = ends
+        edges.append((a, b, wa + wb))
+    n = len(labels)
+    return ([(u if u >= 0 else n + ~u, v if v >= 0 else n + ~v, w)
+             for u, v, w in edges], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -660,27 +635,10 @@ def generate_complete_binary(h: int, mu: float) -> Phylogeny:
         raise ValueError("h must be at least 2")
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    n = 2 ** h
-    labels = [f"leaf_{i}" for i in range(n)]
-    edges: list[tuple[int, int, float]] = []
-    next_internal = [n]
-
-    def build(lo: int, hi: int) -> int:
-        # subtree over leaf ids [lo, hi); returns its root vertex
-        if hi - lo == 1:
-            return lo
-        vid = next_internal[0]
-        next_internal[0] += 1
-        mid = (lo + hi) // 2
-        edges.append((vid, build(lo, mid), mu))
-        edges.append((vid, build(mid, hi), mu))
-        return vid
-
-    half = n // 2
-    left = build(0, half)
-    right = build(half, n)
-    edges.append((left, right, 2.0 * mu))
-    return Phylogeny(edges, labels)
+    level = [f"leaf_{i}" for i in range(2 ** h)]
+    while len(level) > 2:  # pair neighbours, one level at a time
+        level = [((a, mu), (b, mu)) for a, b in zip(level[::2], level[1::2])]
+    return Phylogeny(*_build_nested([(x, mu) for x in level], lambda g: g))
 
 
 def generate_random_regular(n: int, params: RegularityParams, seed: int) -> Phylogeny:
