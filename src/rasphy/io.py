@@ -139,8 +139,14 @@ def read_alignment(path) -> Alignment:
             raise ValueError("alignment header must be 'k n r'")
         k, n, r = map(int, header)
         dtype = np.uint8 if r <= 256 else np.int64
-        data = (np.loadtxt(fh, dtype=dtype, ndmin=2, max_rows=k) if k
-                else np.empty((0, n), dtype=dtype))
+        if k and n:
+            data = np.loadtxt(fh, dtype=dtype, ndmin=2, max_rows=k)
+        # loadtxt skips blank lines, so the k empty rows of n = 0 are read here
+        elif all(fh.readline().isspace() for _ in range(k)):
+            data = np.empty((k, n), dtype=dtype)
+        else:
+            raise ValueError(f"alignment body is not {k} blank lines, as "
+                             f"header ({k}, {n}) requires")
     if data.shape != (k, n):
         raise ValueError(f"alignment body {data.shape} does not match "
                          f"header ({k}, {n})")

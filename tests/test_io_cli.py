@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,24 @@ class TestFileFormats:
         path = tmp_path / "aln.txt"
         path.write_bytes(text.encode())
         with pytest.raises(ValueError, match=match):
+            rio.read_alignment(path)
+
+    @pytest.mark.parametrize("text", [b"2 0 4\n\n\n", b"2 0 4\r\n\r\n\r\n"])
+    def test_alignment_without_leaves_reads_in_either_line_end(
+            self, tmp_path, text):
+        path = tmp_path / "aln.txt"
+        path.write_bytes(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aln = rio.read_alignment(path)
+        assert aln.data.shape == (2, 0) and aln.r == 4
+
+    @pytest.mark.parametrize("text", [b"2 0 4\n\n1\n", b"2 0 4\r\n1\r\n\r\n",
+                                      b"2 0 4\n\n"])
+    def test_alignment_without_leaves_needs_blank_rows(self, tmp_path, text):
+        path = tmp_path / "aln.txt"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match="header"):
             rio.read_alignment(path)
 
     def test_alignment_read_memory_bounded(self, tmp_path):
