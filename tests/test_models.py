@@ -350,8 +350,9 @@ class TestSimulationContract:
         assert np.array_equal(aln.data[1999], leaves)
 
     def test_working_set_bounded(self, jc, two_speed):
-        # the vertex-major block holds at most 16 MiB; tiles and the
-        # per-tile temporaries stay far below the remaining slack
+        # up to three 8 MiB block arrays are live at a chunk boundary (the
+        # next keep block and the last chunk's two); tiles and the
+        # per-tile temporaries fit in the remaining slack
         tree = generate_random_regular(512, RegularityParams(0.1, 0.2, 1.5),
                                        seed=1)
         tracemalloc.start()
