@@ -115,12 +115,11 @@ class ReconstructionConfig:
             raise ValueError("witness_count must be at least 2")
 
 
-def _resolve_trust_cap(values: np.ndarray, cfg: ReconstructionConfig) -> float:
+def _resolve_trust_cap(vals: np.ndarray, cfg: ReconstructionConfig) -> float:
+    """The trust cap, from ``vals``, the upper triangle of the input."""
     if cfg.trust_cap is not None:
         return cfg.trust_cap
-    n = values.shape[0]
-    iu = np.triu_indices(n, k=1)
-    finite = values[iu][np.isfinite(values[iu])]
+    finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         raise DisconnectedTrustGraph("no finite distance estimates")
     cap = min(3.0 * float(np.percentile(finite, 20)), float(finite.max()))
@@ -307,7 +306,11 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         labels = [f"leaf_{i}" for i in range(n)]
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} leaves")
-    cap = _resolve_trust_cap(values, cfg)
+    # the usable pairs, read from the upper triangle; entries whose
+    # endpoint has merged are dropped when popped
+    ii, jj = np.triu_indices(n, k=1)
+    vals = values[ii, jj]
+    cap = _resolve_trust_cap(vals, cfg)
     margin_floor = 4.0 * cfg.tau
 
     total = 2 * n - 3  # leaves plus every merge product
@@ -318,10 +321,6 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     alive = np.zeros(total, dtype=bool)
     alive[:n] = True
 
-    # the usable pairs, read from the upper triangle; entries whose
-    # endpoint has merged are dropped when popped
-    ii, jj = np.triu_indices(n, k=1)
-    vals = d[ii, jj]
     usable = vals < cap
     queue = _CandidateQueue()
     queue.add_run(vals[usable], ii[usable], jj[usable])

@@ -17,8 +17,27 @@ from rasphy import (AmbiguousCherry, DisconnectedTrustGraph,
                     reconstruct_topology, tree_metric)
 from rasphy import reconstruct
 from rasphy.distances import DistortedMetric
-from rasphy.reconstruct import _resolve_trust_cap
 from rasphy.trees import Topology, quartet_margin
+
+
+# the trust cap as the loop first read it, from the whole matrix; a copy,
+# so that the oracle shares no code with the code it checks
+def _resolve_trust_cap(values: np.ndarray, cfg: ReconstructionConfig) -> float:
+    if cfg.trust_cap is not None:
+        return cfg.trust_cap
+    n = values.shape[0]
+    iu = np.triu_indices(n, k=1)
+    finite = values[iu][np.isfinite(values[iu])]
+    if finite.size == 0:
+        raise DisconnectedTrustGraph("no finite distance estimates")
+    cap = min(3.0 * float(np.percentile(finite, 20)), float(finite.max()))
+    # strict comparisons below; nudge so the largest finite entry stays usable
+    cap = np.nextafter(cap, np.inf)
+    if not cap > 4.0 * cfg.tau:
+        raise DisconnectedTrustGraph(
+            f"data-driven trust cap {cap} does not exceed 4*tau={4 * cfg.tau}"
+        )
+    return cap
 
 
 def reference_reconstruct_topology(dhat,
