@@ -145,8 +145,8 @@ def read_alignment(path) -> Alignment:
         elif all(fh.readline().isspace() for _ in range(k)):
             data = np.empty((k, n), dtype=dtype)
         else:
-            raise ValueError(f"alignment body is not {k} blank lines, as "
-                             f"header ({k}, {n}) requires")
+            raise ValueError(f"alignment body does not match header ({k}, "
+                             f"{n}): want {k} blank lines")
     if data.shape != (k, n):
         raise ValueError(f"alignment body {data.shape} does not match "
                          f"header ({k}, {n})")

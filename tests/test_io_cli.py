@@ -107,6 +107,9 @@ class TestFileFormats:
         ("2 3 4\n0 1 2\n3 0\n", "columns"),
         ("2 3 4\n0 1 2\n", "does not match"),  # too few rows
         ("2 3 4\n0 1 4\n3 0 1\n", r"\[0, r\)"),  # a state >= r
+        ("2 0 4\n\n1\n", "does not match"),  # states in an n=0 body
+        ("2 0 4\r\n1\r\n\r\n", "does not match"),
+        ("2 0 4\n\n", "does not match"),
     ])
     def test_malformed_alignment_rejected(self, tmp_path, text, match):
         path = tmp_path / "aln.txt"
@@ -123,14 +126,6 @@ class TestFileFormats:
             warnings.simplefilter("error")
             aln = rio.read_alignment(path)
         assert aln.data.shape == (2, 0) and aln.r == 4
-
-    @pytest.mark.parametrize("text", [b"2 0 4\n\n1\n", b"2 0 4\r\n1\r\n\r\n",
-                                      b"2 0 4\n\n"])
-    def test_alignment_without_leaves_needs_blank_rows(self, tmp_path, text):
-        path = tmp_path / "aln.txt"
-        path.write_bytes(text)
-        with pytest.raises(ValueError, match="header"):
-            rio.read_alignment(path)
 
     def test_alignment_read_memory_bounded(self, tmp_path):
         # the body is read through one reused block of about 1 MiB
