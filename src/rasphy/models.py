@@ -28,6 +28,11 @@ integrates, so importing this module loads numpy alone.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,6 +344,14 @@ class Alignment:
         return Alignment(self.data, self.r, None)
 
 
+# Sites per simulation worker, at least, so that a worker's share costs
+# well over the fork that starts it.  On a 2-vCPU VM a fork plus its reap
+# took 4-7 ms with 50-63 MB resident and BLAS threads live, and a site at
+# least 2.3 us (n=5; 9 us at n=128), so 2**13 sites take 19 ms or more.
+# At n=5 two workers beat one from about 6000 sites on.
+_MIN_SHARE = 1 << 13
+
+
 def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
                        rates: RateDistribution, k: int, seed: int) -> Alignment:
     """Simulate ``k`` independent sites of the scaled Poisson process.
@@ -352,13 +365,28 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     must be below ``2**63``, and ``model.r`` at most 256, since states
     are stored as ``uint8``.
 
-    Besides the output, the walk holds a vertex-major block of keep
+    The sites are split into ``W`` contiguous ranges, one per worker.
+    ``W`` is the number of CPUs this process may run on
+    (``os.sched_getaffinity``; 1 where that call does not exist), capped
+    so that every worker gets at least ``_MIN_SHARE`` sites, whose cost
+    is well over that of one fork.  The calling process runs the first
+    range, and each other range runs in an ``os.fork()`` child.  Every
+    worker writes its rows and rates straight into one anonymous shared
+    ``mmap``, which the returned arrays view, so no result is pickled or
+    copied back.  Where ``os.fork`` fails, the caller runs the ranges
+    left over itself; a worker that fails raises ``RuntimeError`` here,
+    naming its range.  Python 3.12 and later may warn that forking a
+    process with threads can deadlock the child: the threads are BLAS's,
+    and the workers call no BLAS routine.
+
+    Besides the output, each worker holds a vertex-major block of keep
     flags and states, one byte each per vertex and site, in chunks of
     ``(1 << 23) // n_vertices`` sites: 16 MiB per chunk.  At a chunk
     boundary the next chunk's keep flags are allocated while the last
     chunk's two 8 MiB arrays are still bound, so up to 24 MiB of blocks
-    are live; with the tile and its temporaries the walk stays within
-    32 MiB of its output (25.2 MiB measured at n=512, k=2e4).
+    are live; with the tile and its temporaries each worker stays within
+    32 MiB (25.2 MiB measured at n=512, k=2e4), about ``W`` x 32 MiB in
+    all.
 
     The walk starts at :attr:`Phylogeny.root`; by reversibility of the
     channel the leaf distribution does not depend on this choice.
@@ -393,6 +421,60 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
         raise ValueError("states are stored as uint8, so r must be at "
                          f"most 256, got {model.r}")
     n = p.n_leaves
+    # the rates first, so that both views are aligned
+    shared = mmap.mmap(-1, 8 * k + k * n)
+    lambdas = np.frombuffer(shared, dtype=np.float64, count=k)
+    data = np.frombuffer(shared, dtype=np.uint8, count=k * n,
+                         offset=8 * k).reshape(k, n)
+    lambdas[:] = 1.0  # the constant law's rates
+
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(cpus, k // _MIN_SHARE))
+    bounds = [k * w // workers for w in range(workers + 1)]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    args = (p, model, rates, seed, data, lambdas)
+    children = {}  # pid -> its site range
+    try:
+        for lo, hi in ranges[1:]:
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    _simulate_sites(*args, lo, hi)
+                    code = 0
+                except BaseException:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            children[pid] = (lo, hi)
+        # the first range, and any range no child took
+        for lo, hi in ranges[:1] + ranges[1 + len(children):]:
+            _simulate_sites(*args, lo, hi)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        failed = [(lo, hi) for pid, (lo, hi) in children.items()
+                  if os.waitpid(pid, 0)[1] != 0]
+    if failed:
+        raise RuntimeError("simulation worker failed on sites "
+                           + ", ".join(f"{lo}..{hi - 1}" for lo, hi in failed))
+    return Alignment(data, model.r, lambdas)
+
+
+def _simulate_sites(p: Phylogeny, model: SubstitutionModel,
+                    rates: RateDistribution, seed: int, data: np.ndarray,
+                    lambdas: np.ndarray, lo: int, hi: int) -> None:
+    """Write sites ``lo .. hi - 1`` of :func:`simulate_alignment`'s
+    output into ``data`` and ``lambdas``, whose constant-law rates are
+    already 1."""
+    n = p.n_leaves
     n_vertices = p.n_vertices
     edges = p.preorder_edges()
     weight = np.zeros(n_vertices)  # the root's stays 0.0
@@ -415,18 +497,16 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
 
-    data = np.empty((k, n), dtype=np.uint8)
-    lambdas = np.ones(k)  # the constant law's rates
     # Sites are drawn into a cache-sized tile, one row of doubles per site,
     # and reduced there to keep flags and fresh states.  Those go into a
     # vertex-major chunk block (one byte each, 2 * 2**23 B = 16 MiB, the
     # bound of clustering.CHUNK_BYTES; three 8 MiB arrays are live at a
     # chunk boundary), so the walk handles each edge with one contiguous
     # pass over the chunk.
-    chunk = max(1, min(k, (1 << 23) // n_vertices))
+    chunk = max(1, min(hi - lo, (1 << 23) // n_vertices))
     tile = np.empty((max(1, min(chunk, (1 << 17) // width)), width))
-    for start in range(0, k, chunk):
-        stop = min(k, start + chunk)
+    for start in range(lo, hi, chunk):
+        stop = min(hi, start + chunk)
         lam = lambdas[start:stop]
         keep = np.empty((n_vertices, stop - start), dtype=np.uint8)
         states = np.empty((n_vertices, stop - start), dtype=np.uint8)
@@ -459,7 +539,6 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
             diff *= keep[child]
             states[child] += diff
         data[start:stop] = states[:n].T
-    return Alignment(data, model.r, lambdas)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,22 @@
+import os
+
 import pytest
 
 from rasphy import (Phylogeny, RateDistribution, RegularityParams,
                     SubstitutionModel, parse_newick)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_process():
+    """Fail a test after which a child process is left unreaped, such as
+    a simulation worker that nothing waited for."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail(f"test left a child process behind (waitpid gave pid {pid}, "
+                f"status {status}; pid 0 means it is still running)")
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
+import errno
 import hashlib
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from rasphy import (Alignment, RateDistribution, RegularityParams,
                     exact_leaf_distribution, generate_random_regular,
                     parse_newick, simulate_alignment, transition_matrix,
                     tree_metric)
+from rasphy import models
 
 LN2 = math.log(2.0)
 
@@ -349,20 +353,26 @@ class TestSimulationContract:
         _, leaves = _reference_site(five_leaf, model, two_speed, 0, 1999)
         assert np.array_equal(aln.data[1999], leaves)
 
-    def test_working_set_bounded(self, jc, two_speed):
+    def test_working_set_bounded(self, jc, two_speed, monkeypatch):
         # up to three 8 MiB block arrays are live at a chunk boundary (the
         # next keep block and the last chunk's two); tiles and the
-        # per-tile temporaries fit in the remaining slack
+        # per-tile temporaries fit in the remaining slack.  The output is
+        # a shared mapping that tracemalloc does not see, so the traced
+        # peak is this process's walk alone: with the default split, in
+        # which this process walks the first range, and with one worker
         tree = generate_random_regular(512, RegularityParams(0.1, 0.2, 1.5),
                                        seed=1)
-        tracemalloc.start()
-        try:
-            aln = simulate_alignment(tree, jc, two_speed, 20_000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        output = aln.data.nbytes + aln.hidden_lambdas.nbytes
-        assert peak - output <= 32 * 2**20
+        for one_worker in (False, True):
+            if one_worker:
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid: {0}, raising=False)
+            tracemalloc.start()
+            try:
+                simulate_alignment(tree, jc, two_speed, 20_000, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * 2**20
 
     def test_largest_seed_simulates(self, five_leaf, jc, two_speed):
         seed = 2 ** 63 - 1
@@ -381,6 +391,117 @@ class TestSimulationContract:
         want = rates.support[rng.choice(len(rates.support), 5000,
                                         p=rates.probs)]
         assert np.array_equal(got, want)
+
+
+class TestSimulationWorkers:
+    """The split of :func:`simulate_alignment`'s sites over forked
+    workers, forced through the CPU count and the share threshold."""
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        monkeypatch.setattr(models, "_MIN_SHARE", 1)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(workers)), raising=False)
+
+    @pytest.mark.parametrize("law", ["constant", "two_speed", "gamma4"])
+    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, law):
+        tree = generate_random_regular(64, RegularityParams(0.1, 0.2, 1.5),
+                                       seed=2)
+        model = SubstitutionModel(4, pi=(0.1, 0.2, 0.3, 0.4))
+        rates = GOLDEN_LAWS[law]
+        real_fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outs = []
+        for workers in (1, 2, 3):
+            self.force_workers(monkeypatch, workers)
+            forks.clear()
+            outs.append(simulate_alignment(tree, model, rates, 1000, seed=21))
+            assert len(forks) == workers - 1
+        for aln in outs:
+            assert aln.data.tobytes() == outs[0].data.tobytes()
+            assert aln.hidden_lambdas.tobytes() == \
+                outs[0].hidden_lambdas.tobytes()
+            # either side of each range boundary: 500 for two workers,
+            # 333 and 666 for three
+            for site in (0, 332, 333, 499, 500, 665, 666, 999):
+                lam, leaves = _reference_site(tree, model, rates, 21, site)
+                assert aln.hidden_lambdas[site] == lam
+                assert np.array_equal(aln.data[site], leaves)
+
+    def test_failed_worker_raises_and_is_reaped(self, monkeypatch, capfd,
+                                                five_leaf, jc, two_speed):
+        self.force_workers(monkeypatch, 3)
+        real = models._simulate_sites
+
+        def fail_in_workers(*args):
+            if args[-2] > 0:  # lo: a forked worker's range
+                raise ValueError("worker failure")
+            real(*args)
+
+        monkeypatch.setattr(models, "_simulate_sites", fail_in_workers)
+        with pytest.raises(RuntimeError, match="sites 3..5, 6..8$"):
+            simulate_alignment(five_leaf, jc, two_speed, 9, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert "ValueError: worker failure" in capfd.readouterr().err
+
+    def test_failure_in_caller_kills_workers(self, monkeypatch, five_leaf,
+                                             jc, two_speed):
+        self.force_workers(monkeypatch, 2)
+
+        def stall_workers(*args):
+            if args[-2] > 0:
+                time.sleep(60)
+            raise KeyError("caller failure")
+
+        monkeypatch.setattr(models, "_simulate_sites", stall_workers)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyError, match="caller failure"):
+            simulate_alignment(five_leaf, jc, two_speed, 10, seed=0)
+        assert time.perf_counter() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_runs_ranges_fork_could_not_take(self, monkeypatch,
+                                                    five_leaf, jc, two_speed):
+        want = simulate_alignment(five_leaf, jc, two_speed, 90, seed=5)
+        self.force_workers(monkeypatch, 3)
+        real_fork, forks = os.fork, []
+
+        def fork_once():
+            forks.append(1)
+            if len(forks) > 1:
+                raise BlockingIOError(errno.EAGAIN, "no more processes")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        got = simulate_alignment(five_leaf, jc, two_speed, 90, seed=5)
+        assert len(forks) == 2
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.hidden_lambdas.tobytes() == want.hidden_lambdas.tobytes()
+
+    def test_no_fork_below_share_threshold(self, monkeypatch, five_leaf, jc,
+                                           two_speed):
+        def no_fork():
+            raise AssertionError("forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(4)), raising=False)
+        k = 2 * models._MIN_SHARE - 1  # one share, short of two
+        aln = simulate_alignment(five_leaf, jc, two_speed, k, seed=0)
+        lam, leaves = _reference_site(five_leaf, jc, two_speed, 0, k - 1)
+        assert aln.hidden_lambdas[k - 1] == lam
+        assert np.array_equal(aln.data[k - 1], leaves)
+        # and one worker where the CPU set cannot be read
+        monkeypatch.setattr(models, "_MIN_SHARE", 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        simulate_alignment(five_leaf, jc, two_speed, 10, seed=0)
 
 
 class TestExactLeafDistribution:
