@@ -13,7 +13,7 @@ from .clustering import (ClusteringThresholds, EmptyPairSet, PairSet,
                          all_site_statistics, certify_sparsity, close_pairs,
                          expected_statistic_curve, full_sum_statistics,
                          invert_statistic_curve, oracle_sparsify,
-                         site_statistic, sparsify, sparsity_constant)
+                         sparsify, sparsity_constant)
 from .distances import (DistortedMetric, DistortionReport, bin_agreement,
                         distorted_metric, verify_distortion)
 from .models import (Alignment, AssumptionReport, RateDistribution,

@@ -13,9 +13,9 @@ are pairwise edge-disjoint and which number linearly in the leaf count
 * oracle (``oracle_sparsify``), using the true tree metric, for
   verification of the sparsity properties.
 
-``site_statistic`` and ``all_site_statistics`` evaluate the per-site
-average; ``full_sum_statistics`` is the naive all-pairs variant kept as
-a negative control (its signal-to-noise degrades on large trees).
+``all_site_statistics`` evaluates the per-site average;
+``full_sum_statistics`` is the naive all-pairs variant kept as a
+negative control (its signal-to-noise degrades on large trees).
 ``certify_sparsity`` checks the three sparse-pair properties against a
 known tree.
 
@@ -47,7 +47,6 @@ __all__ = [
     "full_sum_statistics",
     "invert_statistic_curve",
     "oracle_sparsify",
-    "site_statistic",
     "sparsify",
     "sparsity_constant",
 ]
@@ -344,20 +343,17 @@ def oracle_sparsify(p: Phylogeny, params: RegularityParams,
     return PairSet(_greedy_thin(pairs, -dist, -m))
 
 
-def certify_sparsity(pairs: PairSet, p: Phylogeny,
-                     params: RegularityParams) -> SparsityCertificate:
+def certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
+                     dist: np.ndarray | None = None) -> SparsityCertificate:
     """Verify the three sparse-pair properties against the true tree.
 
     Path-disjointness is checked by counting edge usage across all pair
-    paths (pairwise disjoint iff no edge is used twice).
+    paths (pairwise disjoint iff no edge is used twice).  ``dist`` is the
+    tree metric of ``p`` when the caller already holds it; by default it
+    is computed here.
     """
-    return _certify_sparsity(pairs, p, params, tree_metric(p))
-
-
-def _certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
-                      dist: np.ndarray) -> SparsityCertificate:
-    """:func:`certify_sparsity` with the tree metric ``dist`` of ``p``
-    given."""
+    if dist is None:
+        dist = tree_metric(p)
     n = p.n_leaves
     gamma_s = sparsity_constant(params)
 
@@ -409,22 +405,6 @@ def all_site_statistics(aln: Alignment, pairs: PairSet,
     pb = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
     agree = (data[:, pa] == data[:, pb]).mean(axis=1)
     return (agree - model.q_inf) / model.p_inf
-
-
-def site_statistic(aln: Alignment, pairs: PairSet, i: int,
-                   model: SubstitutionModel) -> float:
-    """Average normalized agreement over the pair set at site ``i``.
-
-    Conditioned on the site's scaling factor ``lam`` its mean is the
-    pair average of ``exp(-lam * d(a, b))``, strictly decreasing in
-    ``lam``.
-    """
-    if len(pairs) == 0:
-        raise EmptyPairSet("pair set is empty")
-    row = aln.data[i]
-    agree = np.fromiter((row[a] == row[b] for a, b in pairs),
-                        dtype=np.float64, count=len(pairs)).mean()
-    return float((agree - model.q_inf) / model.p_inf)
 
 
 def expected_statistic_curve(p: Phylogeny, pairs: PairSet, lambda_grid):

@@ -249,8 +249,8 @@ def _oracle_diagnostics(report: PipelineReport, aln: Alignment,
     if report.pair_set is None:  # then no later stage ran either
         return
     dist = tree_metric(truth)
-    report.certificate = _clustering._certify_sparsity(
-        report.pair_set, truth, cfg.reg, dist)
+    report.certificate = _clustering.certify_sparsity(
+        report.pair_set, truth, cfg.reg, dist=dist)
     if (report.dhat is not None and aln.hidden_lambdas is not None
             and report.abundant_bin is not None):
         bin_idx = report.assignment.bins[report.abundant_bin]

@@ -14,7 +14,7 @@ from rasphy import (Alignment, ClusteringThresholds, EmptyPairSet, PairSet,
                     generate_complete_binary,
                     generate_random_regular, invert_statistic_curve,
                     oracle_sparsify, paths_disjoint, simulate_alignment,
-                    site_statistic, sparsify, sparsity_constant,
+                    sparsify, sparsity_constant,
                     tree_metric)
 
 
@@ -249,6 +249,17 @@ class TestOracleSparsify:
         cert = certify_sparsity(got, cat, params)
         assert cert.path_disjoint and cert.distance_ok
 
+    def test_given_metric_gives_same_certificate(self, reg_01_02):
+        tree = generate_random_regular(48, reg_01_02, seed=4)
+        d = tree_metric(tree)
+        far = np.unravel_index(np.argmax(d), d.shape)
+        good = oracle_sparsify(tree, reg_01_02, m=1.0)
+        for pairs in (good, PairSet(((0, 1), (0, 2))),  # paths share an edge
+                      PairSet((far,))):  # beyond the distance cap
+            want = certify_sparsity(pairs, tree, reg_01_02)
+            assert certify_sparsity(pairs, tree, reg_01_02, dist=d) == want
+        assert want.detail.startswith("1 pairs outside")
+
     def test_parameter_ordering_enforced(self, quartet):
         params = RegularityParams(1.0, 1.0, 6.0)
         with pytest.raises(ValueError, match="4g < m < M"):
@@ -265,11 +276,27 @@ class TestOracleSparsify:
                 assert 2 * 0.1 <= d[a, b] <= 1.5
 
 
+def site_statistic(aln: Alignment, pairs: PairSet, i: int,
+                   model: SubstitutionModel) -> float:
+    """Oracle of :func:`all_site_statistics` at site ``i``: the average
+    normalized agreement over the pair set, one pair at a time.
+
+    Conditioned on the site's scaling factor ``lam`` its mean is the
+    pair average of ``exp(-lam * d(a, b))``, strictly decreasing in
+    ``lam``.
+    """
+    row = aln.data[i]
+    agree = np.fromiter((row[a] == row[b] for a, b in pairs),
+                        dtype=np.float64, count=len(pairs)).mean()
+    return float((agree - model.q_inf) / model.p_inf)
+
+
 class TestSiteStatistic:
     def test_all_agreeing_site_is_one(self, jc):
         data = np.zeros((3, 6), dtype=np.uint8)
         aln = Alignment(data, r=4)
         pairs = PairSet(((0, 1), (2, 3), (4, 5)))
+        assert all_site_statistics(aln, pairs, jc) == pytest.approx(1.0)
         assert site_statistic(aln, pairs, 0, jc) == pytest.approx(1.0)
 
     def test_stationary_site_centers_at_zero(self, jc):

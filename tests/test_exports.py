@@ -50,8 +50,8 @@ PUBLIC_NAMES = {
         "inject_distortion", "invert_statistic_curve", "oracle_sparsify",
         "parse_newick", "paths_disjoint", "reconstruct_topology",
         "robinson_foulds", "run_pipeline", "select_abundant",
-        "simulate_alignment", "site_classification_report", "site_statistic",
-        "sparsify", "sparsity_constant", "transition_matrix", "tree_metric",
+        "simulate_alignment", "site_classification_report", "sparsify",
+        "sparsity_constant", "transition_matrix", "tree_metric",
         "verify_distortion",
     ],
     "rasphy.binning": [
@@ -64,7 +64,7 @@ PUBLIC_NAMES = {
         "SparsityCertificate", "agreement_matrix", "all_site_statistics",
         "certify_sparsity", "close_pairs", "expected_statistic_curve",
         "full_sum_statistics", "invert_statistic_curve", "oracle_sparsify",
-        "site_statistic", "sparsify", "sparsity_constant",
+        "sparsify", "sparsity_constant",
     ],
     "rasphy.distances": [
         "DistortedMetric", "DistortionReport", "bin_agreement",
