@@ -1,9 +1,11 @@
 """Command-line front end: simulate, pipeline, eval.
 
-Every run echoes its fully resolved configuration into the output
-directory, all randomness is seeded, and reruns reproduce outputs byte
-for byte.  Exit codes: 0 success, 1 usage error, 2 statistical, model
-or input error.
+A ``--config`` file is read as the flags it names and placed before the
+explicit flags, which therefore win.  Every run writes its flags to
+``config.txt`` in the output directory in that same form, all
+randomness is seeded, and ``--config <out-dir>/config.txt`` replays the
+run byte for byte.  Exit codes: 0 success, 1 usage error, 2
+statistical, model or input error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .trees import (RegularityParams, generate_complete_binary,
 
 USAGE_ERROR = 1
 STAGE_ERROR = 2
+CONFIG_HELP = ("file of 'key = value' lines, read as --key value before the "
+               "flags given here, which win; 'true' sets a switch and "
+               "'false' leaves it off.  A run's config.txt replays it.")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,10 +43,12 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="simulate an alignment",
                          description="Write alignment, rate sidecar, and "
                                      "tree files for a simulated instance.")
-    sim.add_argument("--tree", help="Newick file with the phylogeny")
-    sim.add_argument("--n", type=int, help="random tree: number of leaves")
-    sim.add_argument("--complete-h", type=int, dest="complete_h",
-                     help="complete binary tree with 2**h leaves")
+    sim.set_defaults(run=_cmd_simulate)
+    source = sim.add_mutually_exclusive_group(required=True)
+    source.add_argument("--tree", help="Newick file with the phylogeny")
+    source.add_argument("--n", type=int, help="random tree: number of leaves")
+    source.add_argument("--complete-h", type=int, dest="complete_h",
+                        help="complete binary tree with 2**h leaves")
     sim.add_argument("--mu", type=float, help="edge weight for --complete-h")
     sim.add_argument("--f", type=float, help="minimum edge weight")
     sim.add_argument("--g", type=float, help="maximum edge weight")
@@ -54,11 +61,12 @@ def _build_parser() -> _Parser:
     sim.add_argument("--r", type=int, default=4, help="alphabet size")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out-dir", required=True)
-    sim.add_argument("--config", help="key = value defaults file")
+    sim.add_argument("--config", help=CONFIG_HELP)
 
     pipe = sub.add_parser("pipeline", help="run the inference pipeline",
                           description="Reconstruct a topology from an "
                                       "alignment file.")
+    pipe.set_defaults(run=_cmd_pipeline)
     pipe.add_argument("--alignment", required=True)
     pipe.add_argument("--f", type=float, required=True)
     pipe.add_argument("--g", type=float, required=True)
@@ -74,12 +82,13 @@ def _build_parser() -> _Parser:
     pipe.add_argument("--stats-only", action="store_true",
                       help="stop after the per-site statistic CSV")
     pipe.add_argument("--out-dir", required=True)
-    pipe.add_argument("--config", help="key = value defaults file")
+    pipe.add_argument("--config", help=CONFIG_HELP)
 
     ev = sub.add_parser("eval", help="compare trees or models",
                         description="rf: Robinson-Foulds between two Newick "
                                     "files.  tv: exact total-variation "
                                     "identifiability witness.")
+    ev.set_defaults(run=_cmd_eval)
     ev.add_argument("mode", choices=["rf", "tv"])
     ev.add_argument("--tree1", required=True)
     ev.add_argument("--tree2", required=True)
@@ -90,66 +99,64 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args, actions):
-    """File values fill in only flags still at their parser default;
-    explicit flags always win."""
-    if not getattr(args, "config", None):
-        return args
-    text = Path(args.config).read_text()
-    for key, value in _io.parse_config_text(text).items():
-        attr = key.replace("-", "_")
-        action = actions.get(attr)
-        if action is None:
-            print(f"config: unknown key {key!r}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        if getattr(args, attr) != action.default:
-            continue  # flag was given explicitly
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, attr, value.lower() in ("1", "true", "yes"))
-        else:
-            caster = action.type or str
-            setattr(args, attr, caster(value))
-    return args
+def _config_tokens(parser, argv) -> list:
+    """The flag tokens that the lines of argv's --config file name."""
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    try:
+        entries = _io.parse_config_text(Path(path).read_text())
+    except (ValueError, OSError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if "config" in entries:
+        parser.error(f"--config {path}: a config file cannot name another")
+    flags = {key: "--" + key.replace("_", "-") for key in entries}
+    return [flags[key] if value == "true" else f"{flags[key]}={value}"
+            for key, value in entries.items() if value != "false"]
 
 
-def _echo_config(out_dir: Path, args, extra=None):
+def _echo_config(out_dir: Path, args, resolved_rates=None):
+    """Write the run's flags as a config file that replays the run."""
     lines = []
-    for key in sorted(vars(args)):
-        if key in ("command", "config"):
+    for key, value in sorted(vars(args).items()):
+        if key in ("command", "config", "run") or value is None \
+                or value is False:
             continue
-        lines.append(f"{key} = {getattr(args, key)}")
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {value}")
+        value = "true" if value is True else value
+        lines.append(f"{key.replace('_', '-')} = {value}")
+    if resolved_rates is not None:
+        lines.append(f"# resolved_rates = {resolved_rates}")
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
 
 
 def _cmd_simulate(args) -> int:
     rates = _io.parse_rates_spec(args.rates)
-    if args.tree:
+    g_for_check = args.g
+    if args.tree is not None:
+        if args.big_m is not None and args.g is None:
+            print("simulate: --big-m with --tree requires --g",
+                  file=sys.stderr)
+            return USAGE_ERROR
         tree = _io.read_tree(args.tree)
-        g_for_check = args.g
     elif args.complete_h is not None:
         if args.mu is None:
             print("simulate: --complete-h requires --mu", file=sys.stderr)
             return USAGE_ERROR
         tree = generate_complete_binary(args.complete_h, args.mu)
         g_for_check = args.g if args.g is not None else args.mu
-    elif args.n is not None:
+    else:
         if args.f is None or args.g is None:
             print("simulate: --n requires --f and --g", file=sys.stderr)
             return USAGE_ERROR
         cap = args.big_m if args.big_m is not None else 10.0 * args.g
         params = RegularityParams(args.f, args.g, cap)
         tree = generate_random_regular(args.n, params, args.seed)
-        g_for_check = args.g
-    else:
-        print("simulate: provide --tree, --complete-h, or --n",
-              file=sys.stderr)
-        return USAGE_ERROR
     # canonicalize so alignment columns follow the tree file's leaf order,
     # which is the binding convention (the alignment format has no labels)
     tree = parse_newick(tree.to_newick())
-    if args.big_m is not None and g_for_check is not None:
+    if args.big_m is not None:
         f_for_check = args.f if args.f is not None else g_for_check
         verdict = check_assumption(
             rates, RegularityParams(f_for_check, g_for_check, args.big_m))
@@ -165,7 +172,7 @@ def _cmd_simulate(args) -> int:
     _io.write_alignment(out / "alignment.txt", aln)
     _io.write_lambdas(out / "lambdas.txt", aln.hidden_lambdas)
     _io.write_tree(out / "tree.nwk", tree)
-    _echo_config(out, args, {"resolved_rates": _io.format_rates_spec(rates)})
+    _echo_config(out, args, _io.format_rates_spec(rates))
     return 0
 
 
@@ -181,22 +188,14 @@ def _cmd_pipeline(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(out, args)
-
-    try:
-        report = run_pipeline(
-            aln, cfg, truth=truth,
-            stop_after="site_statistics" if args.stats_only else None)
-    except ValueError as exc:  # assumption violations and bad inputs
-        print(f"pipeline: {exc}", file=sys.stderr)
-        return STAGE_ERROR
+    report = run_pipeline(
+        aln, cfg, truth=truth,
+        stop_after="site_statistics" if args.stats_only else None)
 
     labels = truth.labels if truth else [f"leaf_{i}" for i in range(aln.n)]
     if report.u_values is not None:
         _io.write_statistics_csv(out / "u_values.csv", report.u_values)
-    if args.stats_only:
-        _write_report(out / "report.txt", report)
-        return 0 if report.u_values is not None else STAGE_ERROR
-    if report.pair_set is not None:
+    if report.pair_set is not None and not args.stats_only:
         _io.write_pairset(out / "pairs.txt", report.pair_set, labels)
     if report.bin_params is not None:
         (out / "params.txt").write_text(
@@ -269,16 +268,11 @@ def _cmd_eval(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    subparser = parser._subparsers._group_actions[0].choices[args.command]
-    actions = {a.dest: a for a in subparser._actions}
-    args = _apply_config_file(args, actions)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(
+        argv[:1] + _config_tokens(parser, argv) + argv[1:])
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "pipeline":
-            return _cmd_pipeline(args)
-        return _cmd_eval(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"rasphy {args.command}: {exc}", file=sys.stderr)
         return STAGE_ERROR

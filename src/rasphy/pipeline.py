@@ -68,7 +68,6 @@ class PipelineConfig:
     """
 
     reg: RegularityParams
-    model: SubstitutionModel | None = None
     rates: RateDistribution | None = None
     gamma_u: float | None = None
     recon: _reconstruct.ReconstructionConfig | None = None
@@ -207,7 +206,7 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
             )
     state = {
         "aln": aln.without_lambdas(),
-        "model": cfg.model or SubstitutionModel.uniform(aln.r),
+        "model": SubstitutionModel.uniform(aln.r),
         "cfg": cfg,
         "thresholds": _clustering.ClusteringThresholds.for_max_edge(
             cfg.reg.max_edge),

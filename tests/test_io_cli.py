@@ -283,6 +283,71 @@ class TestSimulateCommand:
                         "--out-dir", str(tmp_path / "x")])
         assert code == 1
 
+    def test_big_m_with_tree_needs_g(self, tmp_path, capsys):
+        tree = tmp_path / "t.nwk"
+        tree.write_text("((a:0.2,b:0.2):0.2,(c:0.2,d:0.2):0.2);\n")
+        args = ["simulate", "--tree", str(tree), "--big-m", "0.3",
+                "--rates", "constant", "--k", "10",
+                "--out-dir", str(tmp_path / "x")]
+        assert run_cli(args) == 1
+        assert "--big-m with --tree requires --g" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        # with --g the assumption is checked, and fails
+        assert run_cli(args + ["--g", "0.2"]) == 2
+        assert "phi_inverse" in capsys.readouterr().err
+
+    def test_config_txt_replays_run(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli([
+            "simulate", "--n", "12", "--f", "0.1", "--g", "0.2",
+            "--big-m", "1.5", "--rates", "discrete:1,0.3;3,0.7",
+            "--k", "300", "--r", "2", "--seed", "0",
+            "--out-dir", str(out)]) == 0
+        echoed = (out / "config.txt").read_text().splitlines()
+        assert "seed = 0" in echoed and "big-m = 1.5" in echoed
+        assert "rates = discrete:1,0.3;3,0.7" in echoed
+        assert any(line.startswith("# resolved_rates = discrete:")
+                   for line in echoed)
+        again = tmp_path / "again"
+        assert run_cli(["simulate", "--config", str(out / "config.txt"),
+                        "--out-dir", str(again)]) == 0
+        for name in ("alignment.txt", "lambdas.txt", "tree.nwk"):
+            assert (out / name).read_bytes() == (again / name).read_bytes()
+
+    def test_explicit_flag_at_default_beats_file(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("r = 2\n")
+        out = tmp_path / "x"
+        assert run_cli(["simulate", "--complete-h", "3", "--mu", "0.2",
+                        "--k", "10", "--r", "4", "--config", str(cfg),
+                        "--out-dir", str(out)]) == 0
+        assert (out / "alignment.txt").read_text().splitlines()[0] \
+            == "10 8 4"
+
+    def test_required_flags_from_file(self, tmp_path):
+        out = tmp_path / "x"
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"complete-h = 3\nmu = 0.2\nk = 10\n"
+                       f"out-dir = {out}\n")
+        assert run_cli(["simulate", "--config", str(cfg)]) == 0
+        assert rio.read_alignment(out / "alignment.txt").data.shape == (10, 8)
+
+    @pytest.mark.parametrize("text", [
+        "r = four\n",  # a bad value
+        "k = 10\nnonsense\n",  # a malformed line
+        "bogus = 1\n",  # an unknown key
+        "config = other.txt\n",  # a file may not name another
+    ])
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        assert run_cli(["simulate", "--complete-h", "3", "--mu", "0.2",
+                        "--k", "10", "--config", str(cfg),
+                        "--out-dir", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipelineCommand:
     @pytest.fixture
@@ -374,9 +439,44 @@ class TestPipelineCommand:
         out = tmp_path / "pipe2"
         code = run_cli([
             "pipeline", "--alignment", str(sim_dir / "alignment.txt"),
-            "--f", "0.1", "--g", "0.2", "--big-m", "1.5",
             "--config", str(cfg), "--stats-only", "--out-dir", str(out)])
         assert code == 0
+        echoed = (out / "config.txt").read_text().splitlines()
+        assert "big-m = 1.5" in echoed and "stats-only = true" in echoed
+
+    @pytest.mark.parametrize("extra", [[], ["--stats-only"]])
+    def test_config_txt_replays_run(self, sim_dir, tmp_path, extra):
+        out = tmp_path / "pipe"
+        assert run_cli([
+            "pipeline", "--alignment", str(sim_dir / "alignment.txt"),
+            "--f", "0.1", "--g", "0.2", "--big-m", "1.5",
+            "--rates", "discrete:0.5,0.5;1.5,0.5", "--tau", "0.0",
+            "--truth", str(sim_dir / "tree.nwk"), *extra,
+            "--out-dir", str(out)]) == 0
+        again = tmp_path / "again"
+        assert run_cli(["pipeline", "--config", str(out / "config.txt"),
+                        "--out-dir", str(again)]) == 0
+        names = ("pairs.txt", "u_values.csv", "bins.csv", "params.txt",
+                 "distances.txt", "reconstructed.nwk")
+        written = [name for name in names if (out / name).exists()]
+        assert written == (["u_values.csv"] if extra else list(names))
+        assert written == [name for name in names if (again / name).exists()]
+        for name in written:
+            assert (out / name).read_bytes() == (again / name).read_bytes()
+
+    @pytest.mark.parametrize("extra", [[], ["--stats-only"]])
+    def test_stage_failure_is_reported(self, tmp_path, capsys, extra):
+        # no two leaves ever agree, so no pair is close
+        aln = tmp_path / "aln.txt"
+        aln.write_text("4 4 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
+        out = tmp_path / "pipe"
+        code = run_cli([
+            "pipeline", "--alignment", str(aln), "--f", "0.1", "--g", "0.2",
+            "--big-m", "1.5", *extra, "--out-dir", str(out)])
+        assert code == 2
+        assert "pipeline: stage 'sparsify' failed" in capsys.readouterr().err
+        assert "sparsify.status=failed" in (out / "report.txt").read_text()
+        assert not (out / "pairs.txt").exists()
 
 
 class TestEvalCommand:
