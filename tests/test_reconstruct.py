@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rasphy import (AmbiguousCherry, DisconnectedTrustGraph,
-                    ReconstructionConfig, end_to_end_contract_check,
+                    ReconstructionConfig, RegularityParams,
+                    end_to_end_contract_check, generate_complete_binary,
                     generate_random_regular, inject_distortion, parse_newick,
                     reconstruct_topology, robinson_foulds, tree_metric)
+from rasphy import reconstruct
 
 NOISELESS = ReconstructionConfig(trust_cap=np.inf, tau=0.0)
 
@@ -158,3 +162,57 @@ class TestInjectDistortion:
         d = tree_metric(tree)
         dhat = inject_distortion(d, 0.0, np.inf, seed=1).values
         assert np.array_equal(dhat, d)
+
+
+def _decision_digest(monkeypatch, dhat, cfg) -> str:
+    """sha256 of every merge's ``(d[a, b], h_a, h_b)`` and pseudo-leaf
+    row, in merge order, then the outcome: the Newick text, or the
+    exception class and message."""
+    h = hashlib.sha256()
+    real = reconstruct._pseudo_leaf_row
+
+    def spy(dac, dbc, dab, h_a, h_b):
+        row = real(dac, dbc, dab, h_a, h_b)
+        h.update(np.array([dab, h_a, h_b], dtype="<f8").tobytes())
+        h.update(row.astype("<f8").tobytes())
+        return row
+
+    monkeypatch.setattr(reconstruct, "_pseudo_leaf_row", spy)
+    try:
+        outcome = reconstruct_topology(dhat, cfg).to_newick()
+    except (AmbiguousCherry, DisconnectedTrustGraph) as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    h.update(outcome.encode())
+    return h.hexdigest()
+
+
+class TestDecisionPins:
+    """Every merge decision, apex height and pseudo-leaf row, pinned at
+    sizes the reference oracle does not reach."""
+
+    REG = RegularityParams(0.1, 0.2, 1.5)
+
+    def test_random_tree(self, monkeypatch):
+        n = 2048
+        tree = generate_random_regular(n, self.REG, seed=11)
+        dhat = inject_distortion(tree_metric(tree), 0.01,
+                                 5 * self.REG.max_edge * np.log(n), seed=3)
+        assert _decision_digest(
+            monkeypatch, dhat, ReconstructionConfig(tau=0.01)) == (
+            "eba52bd586e1ab8ee4d09742175c6b4d98fea2b2776d669e0194336d4cb025ef")
+
+    def test_ties_decide(self, monkeypatch):
+        # every edge 0.2, exact distances: most candidates tie, and the
+        # order (value, lower id, higher id) picks the merge
+        tree = generate_complete_binary(10, 0.2)
+        assert _decision_digest(
+            monkeypatch, tree_metric(tree), ReconstructionConfig()) == (
+            "420d3d62ee5e67f30d35640b0159c1a52092560be8cd57ce802f153b587f1510")
+
+    def test_failure(self, monkeypatch):
+        # a short trust horizon: DisconnectedTrustGraph with 7 nodes left
+        tree = generate_random_regular(1024, self.REG, seed=5)
+        dhat = inject_distortion(tree_metric(tree), 0.01, 1.2, seed=3)
+        assert _decision_digest(
+            monkeypatch, dhat, ReconstructionConfig(tau=0.01)) == (
+            "6d2e14c731d3d0a955582ef35f8fe912837c846d6c89dd35794e19134bcdf7b9")
