@@ -22,15 +22,14 @@ part of the contract: tree metrics on a coarse grid tie often, and the
 tie-break decides which of several equal cherries merges first.
 
 The agglomeration is incremental, with sorted candidate rows as in
-RapidNJ (Simonsen, Mailund and Pedersen, WABI 2008).  One queue holds
-the usable pairs, read from the upper triangle of the symmetric input:
-the leaf pairs as one sorted run, each pseudo-leaf's pairs as another,
-and a heap over the heads of the runs.  Each merge pops candidates in
-order, drops those with a merged endpoint, tests the rest until one is
-confirmed, and then pushes back the candidates that failed and adds the
-new pseudo-leaf's usable pairs as a run.  A pair's distance never
-changes once written, so the order stays exact.  The pseudo-leaf's
-distance row is computed over arrays in one step.
+RapidNJ (Simonsen, Mailund and Pedersen, WABI 2008).  Each node ``b``
+owns one sorted run of its usable pairs with the nodes below it, and a
+heap over the heads of the runs yields, in order, only pairs whose two
+ends are alive; a merged node's run is dropped at its next head.  Each
+merge tests candidates until one is confirmed, pushes back those that
+failed and adds the new pseudo-leaf's run, whose distance row is
+computed over arrays in one step.  A pair's distance never changes once
+written, so the order stays exact.
 
 A failed candidate keeps its verdict with its witness list.  The
 verdict reads only the entries of ``d`` among the pair and its
@@ -116,7 +115,7 @@ class ReconstructionConfig:
 
 
 def _resolve_trust_cap(vals: np.ndarray, cfg: ReconstructionConfig) -> float:
-    """The trust cap, from ``vals``, the upper triangle of the input."""
+    """The trust cap, from ``vals``, the entries below the diagonal."""
     if cfg.trust_cap is not None:
         return cfg.trust_cap
     finite = vals[np.isfinite(vals)]
@@ -134,43 +133,51 @@ def _resolve_trust_cap(vals: np.ndarray, cfg: ReconstructionConfig) -> float:
 
 class _CandidateQueue:
     """Candidate pairs ``(value, a, b)``, ``a < b``, popped in the order
-    ``(value, a, b)``.
+    ``(value, a, b)`` while both ends are alive.
 
-    Pairs arrive in runs (all leaf pairs, then one run per pseudo-leaf),
-    each sorted once in numpy; the heap holds only the head of each run
-    plus single pairs pushed back, so adding a run of ``m`` pairs costs
-    one sort instead of ``m`` heap pushes.
+    Node ``b``'s run holds its pairs below ``cap`` with the nodes ``ids``
+    below it, sorted once in numpy; the heap holds only the head of each
+    run plus single pairs pushed back, as ``(value, a, b, i)`` with ``i``
+    the place in the run or -1.  Every pair of ``b``'s run holds ``b``,
+    so once ``b`` has merged its run is dropped at its next head.
     """
 
-    def __init__(self):
+    def __init__(self, alive: np.ndarray, cap: float):
         self._heap = []
-        self._runs = []
+        self._runs = {}
+        self._alive = alive
+        self._cap = cap
 
-    def __bool__(self):
-        return bool(self._heap)
+    def add_run(self, b: int, vals: np.ndarray, ids: np.ndarray):
+        # ``ids`` ascend, so a stable sort on the value puts the pairs in
+        # the order (value, a, b)
+        keep = np.flatnonzero(vals < self._cap)
+        order = keep[np.argsort(vals[keep], kind="stable")]
+        self._runs[b] = (vals[order], ids[order])
+        self._push_head(b, 0)
 
-    def add_run(self, vals: np.ndarray, a: np.ndarray, b: np.ndarray):
-        # the pairs arrive in (a, b) order, so a stable sort on the value
-        # puts them in the order (value, a, b)
-        order = np.argsort(vals, kind="stable")
-        run = (vals[order], a[order], b[order])
-        self._runs.append(run)
-        self._push_head(len(self._runs) - 1, 0)
-
-    def _push_head(self, r: int, i: int):
-        vals, a, b = self._runs[r]
+    def _push_head(self, b: int, i: int):
+        vals, ids = self._runs[b]
         if i < vals.size:
-            heapq.heappush(self._heap,
-                           (float(vals[i]), int(a[i]), int(b[i]), r, i))
+            heapq.heappush(self._heap, (float(vals[i]), int(ids[i]), b, i))
+        else:
+            del self._runs[b]
 
     def push(self, pair: tuple):
-        heapq.heappush(self._heap, pair + (-1, 0))
+        heapq.heappush(self._heap, pair + (-1,))
 
-    def pop(self) -> tuple:
-        value, a, b, r, i = heapq.heappop(self._heap)
-        if r >= 0:
-            self._push_head(r, i + 1)
-        return value, a, b
+    def pop(self) -> tuple | None:
+        """The next pair whose two ends are alive, or ``None``."""
+        while self._heap:
+            value, a, b, i = heapq.heappop(self._heap)
+            if not self._alive[b]:
+                self._runs.pop(b, None)
+                continue
+            if i >= 0:
+                self._push_head(b, i + 1)
+            if self._alive[a]:
+                return value, a, b
+        return None
 
 
 def _witnesses(d: np.ndarray, act: np.ndarray, a: int, b: int, cap: float,
@@ -306,11 +313,7 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         labels = [f"leaf_{i}" for i in range(n)]
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} leaves")
-    # the usable pairs, read from the upper triangle; entries whose
-    # endpoint has merged are dropped when popped
-    ii, jj = np.triu_indices(n, k=1)
-    vals = values[ii, jj]
-    cap = _resolve_trust_cap(vals, cfg)
+    cap = _resolve_trust_cap(values[np.tri(n, k=-1, dtype=bool)], cfg)
     margin_floor = 4.0 * cfg.tau
 
     total = 2 * n - 3  # leaves plus every merge product
@@ -321,9 +324,9 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     alive = np.zeros(total, dtype=bool)
     alive[:n] = True
 
-    usable = vals < cap
-    queue = _CandidateQueue()
-    queue.add_run(vals[usable], ii[usable], jj[usable])
+    queue = _CandidateQueue(alive, cap)
+    for b in range(1, n):
+        queue.add_run(b, values[b, :b], np.arange(b, dtype=np.int32))
 
     # failed candidates: (a, b) -> (merges seen, witnesses, tested)
     verdicts = {}
@@ -332,12 +335,8 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         act = np.flatnonzero(alive)
         failed = []  # popped live candidates that did not merge
         tested_any = False
-        while queue:
-            entry = queue.pop()
+        while (entry := queue.pop()) is not None:
             _, a, b = entry
-            if not (alive[a] and alive[b]):
-                verdicts.pop((a, b), None)
-                continue
             cached = verdicts.get((a, b))
             if cached is not None and _verdict_stands(
                     d, a, b, cached[1], cap, cfg.witness_count,
@@ -380,8 +379,7 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         merges.append((a, b, v))
         for entry in failed:
             queue.push(entry)
-        keep = row < cap
-        queue.add_run(row[keep], others[keep], np.full(keep.sum(), v))
+        queue.add_run(v, row, others)
     return Topology.from_nested(tuple(clades[c] for c in np.flatnonzero(alive)))
 
 

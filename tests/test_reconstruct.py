@@ -1,4 +1,6 @@
 import hashlib
+import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,3 +218,43 @@ class TestDecisionPins:
         assert _decision_digest(
             monkeypatch, dhat, ReconstructionConfig(tau=0.01)) == (
             "6d2e14c731d3d0a955582ef35f8fe912837c846d6c89dd35794e19134bcdf7b9")
+
+
+class TestQueueCost:
+    REG = RegularityParams(0.1, 0.2, 1.5)
+
+    def test_failure_at_the_top_pops_few(self, monkeypatch):
+        # four 128-leaf subtrees joined by 0.01 edges, below 4*tau: the
+        # subtrees resolve and the top fails with 8 nodes left, when
+        # almost every pair in the queue holds a merged node
+        parts = [generate_random_regular(128, self.REG, seed=s).to_newick()
+                 .rstrip(";").replace("leaf_", f"s{s}_") for s in range(4)]
+        tree = parse_newick(f"(({parts[0]}:0.01,{parts[1]}:0.01):0.01,"
+                            f"({parts[2]}:0.01,{parts[3]}:0.01):0.01);")
+        n = tree.n_leaves
+        real = heapq.heappop
+        pops = []
+
+        def spy(heap):
+            pops.append(None)
+            return real(heap)
+
+        monkeypatch.setattr(heapq, "heappop", spy)
+        with pytest.raises(AmbiguousCherry, match="with 8 nodes left"):
+            reconstruct_topology(tree_metric(tree),
+                                 ReconstructionConfig(tau=0.02))
+        assert len(pops) < n * (n - 1) // 20
+
+    def test_traced_peak(self):
+        # in units of n^2 float64; the (2n - 3)^2 working matrix is 4 of them
+        n = 512
+        tree = generate_random_regular(n, self.REG, seed=0)
+        dhat = inject_distortion(tree_metric(tree), 0.01,
+                                 5 * self.REG.max_edge * np.log(n), seed=0)
+        tracemalloc.start()
+        try:
+            reconstruct_topology(dhat, ReconstructionConfig(tau=0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) < 6.5
