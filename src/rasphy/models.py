@@ -277,7 +277,8 @@ def invert_decreasing(curve, y: float) -> float:
 
     ``curve`` must be continuous and strictly decreasing with
     ``curve(0) = 1``.  Bisection with bracket doubling; absolute
-    tolerance 1e-12 on s.  Raises ``ValueError`` for ``y`` outside
+    tolerance 1e-12 on s, or adjacent doubles where those lie further
+    apart (``s >= 8192``).  Raises ``ValueError`` for ``y`` outside
     (0, 1] or when the curve stays above ``y`` up to ``s = 1e9``.
     """
     if not (0.0 < y <= 1.0):
@@ -292,6 +293,8 @@ def invert_decreasing(curve, y: float) -> float:
             raise ValueError(f"curve never reaches {y}")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if curve(mid) > y:
             lo = mid
         else:

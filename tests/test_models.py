@@ -120,6 +120,14 @@ class TestRateDistribution:
         want = 4.0 * (2.0 ** 0.25 - 1.0)
         assert rates.phi_inverse(0.5) == pytest.approx(want, abs=1e-10)
 
+    def test_phi_inverse_far_root_returns(self):
+        # (1 + 10 s)^-0.1 = e^-1.2  <=>  s = (e^12 - 1) / 10, about 16 275,
+        # where adjacent doubles lie 1.8e-12 apart, wider than the tolerance
+        rates = RateDistribution.gamma(0.1)
+        want = (math.exp(12.0) - 1.0) / 10.0
+        assert rates.phi_inverse(math.exp(-1.2)) == pytest.approx(
+            want, rel=1e-12)
+
     def test_phi_phi_inverse_round_trip(self):
         for rates in (RateDistribution.two_speed(0.5, 1.5),
                       RateDistribution.gamma(2.0),
