@@ -117,15 +117,17 @@ def _config_tokens(parser, argv) -> list:
             for key, value in entries.items() if value != "false"]
 
 
+def _echoed(args) -> dict:
+    """The flags a run writes to its config.txt, by flag name."""
+    return {key.replace("_", "-"): "true" if value is True else value
+            for key, value in sorted(vars(args).items())
+            if key not in ("command", "config", "run")
+            and value is not None and value is not False}
+
+
 def _echo_config(out_dir: Path, args, resolved_rates=None):
     """Write the run's flags as a config file that replays the run."""
-    lines = []
-    for key, value in sorted(vars(args).items()):
-        if key in ("command", "config", "run") or value is None \
-                or value is False:
-            continue
-        value = "true" if value is True else value
-        lines.append(f"{key.replace('_', '-')} = {value}")
+    lines = [f"{key} = {value}" for key, value in _echoed(args).items()]
     if resolved_rates is not None:
         lines.append(f"# resolved_rates = {resolved_rates}")
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
@@ -271,6 +273,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(
         argv[:1] + _config_tokens(parser, argv) + argv[1:])
+    if args.run is not _cmd_eval:
+        for key, value in _echoed(args).items():
+            if "#" in str(value):  # config.txt would cut it at the '#'
+                parser.error(f"--{key} {value}: a value cannot hold '#'")
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -314,6 +314,14 @@ class TestSimulateCommand:
         for name in ("alignment.txt", "lambdas.txt", "tree.nwk"):
             assert (out / name).read_bytes() == (again / name).read_bytes()
 
+    def test_hash_in_value_is_usage_error(self, tmp_path, capsys):
+        # config.txt cuts a value at its '#', so it could not replay the run
+        out = tmp_path / "d#1"
+        assert run_cli(["simulate", "--complete-h", "2", "--mu", "0.2",
+                        "--k", "10", "--out-dir", str(out)]) == 1
+        assert "cannot hold '#'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_explicit_flag_at_default_beats_file(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("r = 2\n")
@@ -463,6 +471,15 @@ class TestPipelineCommand:
         assert written == [name for name in names if (again / name).exists()]
         for name in written:
             assert (out / name).read_bytes() == (again / name).read_bytes()
+
+    def test_hash_in_value_is_usage_error(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "pipe"
+        assert run_cli([
+            "pipeline", "--alignment", str(sim_dir / "alignment.txt"),
+            "--f", "0.1", "--g", "0.2", "--big-m", "1.5",
+            "--truth", str(tmp_path / "t#1.nwk"), "--out-dir", str(out)]) == 1
+        assert "--truth" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--stats-only"]])
     def test_stage_failure_is_reported(self, tmp_path, capsys, extra):
