@@ -472,10 +472,10 @@ class TestPipelineCommand:
         for name in written:
             assert (out / name).read_bytes() == (again / name).read_bytes()
 
-    def test_hash_in_value_is_usage_error(self, sim_dir, tmp_path, capsys):
+    def test_hash_in_value_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "pipe"
         assert run_cli([
-            "pipeline", "--alignment", str(sim_dir / "alignment.txt"),
+            "pipeline", "--alignment", str(tmp_path / "aln.txt"),
             "--f", "0.1", "--g", "0.2", "--big-m", "1.5",
             "--truth", str(tmp_path / "t#1.nwk"), "--out-dir", str(out)]) == 1
         assert "--truth" in capsys.readouterr().err

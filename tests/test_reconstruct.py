@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rasphy import (AmbiguousCherry, DisconnectedTrustGraph,
-                    ReconstructionConfig, RegularityParams,
-                    end_to_end_contract_check, generate_complete_binary,
+                    ReconstructionConfig, end_to_end_contract_check,
+                    generate_complete_binary,
                     generate_random_regular, inject_distortion, parse_newick,
                     reconstruct_topology, robinson_foulds, tree_metric)
 from rasphy import reconstruct
@@ -192,13 +192,11 @@ class TestDecisionPins:
     """Every merge decision, apex height and pseudo-leaf row, pinned at
     sizes the reference oracle does not reach."""
 
-    REG = RegularityParams(0.1, 0.2, 1.5)
-
-    def test_random_tree(self, monkeypatch):
+    def test_random_tree(self, monkeypatch, reg_01_02):
         n = 2048
-        tree = generate_random_regular(n, self.REG, seed=11)
+        tree = generate_random_regular(n, reg_01_02, seed=11)
         dhat = inject_distortion(tree_metric(tree), 0.01,
-                                 5 * self.REG.max_edge * np.log(n), seed=3)
+                                 5 * reg_01_02.max_edge * np.log(n), seed=3)
         assert _decision_digest(
             monkeypatch, dhat, ReconstructionConfig(tau=0.01)) == (
             "eba52bd586e1ab8ee4d09742175c6b4d98fea2b2776d669e0194336d4cb025ef")
@@ -211,9 +209,9 @@ class TestDecisionPins:
             monkeypatch, tree_metric(tree), ReconstructionConfig()) == (
             "420d3d62ee5e67f30d35640b0159c1a52092560be8cd57ce802f153b587f1510")
 
-    def test_failure(self, monkeypatch):
+    def test_failure(self, monkeypatch, reg_01_02):
         # a short trust horizon: DisconnectedTrustGraph with 7 nodes left
-        tree = generate_random_regular(1024, self.REG, seed=5)
+        tree = generate_random_regular(1024, reg_01_02, seed=5)
         dhat = inject_distortion(tree_metric(tree), 0.01, 1.2, seed=3)
         assert _decision_digest(
             monkeypatch, dhat, ReconstructionConfig(tau=0.01)) == (
@@ -221,13 +219,11 @@ class TestDecisionPins:
 
 
 class TestQueueCost:
-    REG = RegularityParams(0.1, 0.2, 1.5)
-
-    def test_failure_at_the_top_pops_few(self, monkeypatch):
+    def test_failure_at_the_top_pops_few(self, monkeypatch, reg_01_02):
         # four 128-leaf subtrees joined by 0.01 edges, below 4*tau: the
         # subtrees resolve and the top fails with 8 nodes left, when
         # almost every pair in the queue holds a merged node
-        parts = [generate_random_regular(128, self.REG, seed=s).to_newick()
+        parts = [generate_random_regular(128, reg_01_02, seed=s).to_newick()
                  .rstrip(";").replace("leaf_", f"s{s}_") for s in range(4)]
         tree = parse_newick(f"(({parts[0]}:0.01,{parts[1]}:0.01):0.01,"
                             f"({parts[2]}:0.01,{parts[3]}:0.01):0.01);")
@@ -245,12 +241,12 @@ class TestQueueCost:
                                  ReconstructionConfig(tau=0.02))
         assert len(pops) < n * (n - 1) // 20
 
-    def test_traced_peak(self):
+    def test_traced_peak(self, reg_01_02):
         # in units of n^2 float64; the (2n - 3)^2 working matrix is 4 of them
         n = 512
-        tree = generate_random_regular(n, self.REG, seed=0)
+        tree = generate_random_regular(n, reg_01_02, seed=0)
         dhat = inject_distortion(tree_metric(tree), 0.01,
-                                 5 * self.REG.max_edge * np.log(n), seed=0)
+                                 5 * reg_01_02.max_edge * np.log(n), seed=0)
         tracemalloc.start()
         try:
             reconstruct_topology(dhat, ReconstructionConfig(tau=0.01))
