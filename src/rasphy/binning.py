@@ -172,7 +172,10 @@ def bin_sites(u_values, bp: BinningParams) -> BinAssignment:
     idx = np.floor((u - lo) / bp.delta_u).astype(np.int64) + 1
     idx = np.clip(idx, 1, bp.num_bins)
     idx[(u < lo) | (u >= hi)] = 0
-    bins = tuple(np.flatnonzero(idx == j) for j in range(bp.num_bins + 1))
+    # one stable sort: each bin's sites come out ascending
+    order = np.argsort(idx, kind="stable")
+    sizes = np.bincount(idx, minlength=bp.num_bins + 1)
+    bins = tuple(np.split(order, np.cumsum(sizes)[:-1]))
     return BinAssignment(bins=bins, params=bp)
 
 

@@ -243,7 +243,11 @@ def _agreement(aln: Alignment, model: SubstitutionModel,
     """:func:`agreement_matrix` over the site indices ``sites``, or over
     all sites for ``None``."""
     k = aln.k if sites is None else len(sites)
-    q = (_match_counts(aln.data, aln.r, sites) / k - model.q_inf) / model.p_inf
+    # in place on the counts: (counts / k - q_inf) / p_inf, bit for bit
+    q = _match_counts(aln.data, aln.r, sites)
+    q /= k
+    q -= model.q_inf
+    q /= model.p_inf
     np.fill_diagonal(q, 1.0)
     return q
 
@@ -277,9 +281,10 @@ def close_pairs(q: np.ndarray, t: ClusteringThresholds) -> PairSet:
     The boundary is closed: a pair sitting exactly on the threshold is
     included.
     """
-    a_idx, b_idx = np.triu_indices(q.shape[0], k=1)
-    keep = q[a_idx, b_idx] >= t.close_level
-    pairs = tuple(zip(a_idx[keep].tolist(), b_idx[keep].tolist()))
+    # nonzero lists the pairs in row-major order; a boolean mask costs a
+    # byte per entry, where int64 indices of all pairs cost eight
+    a_idx, b_idx = np.nonzero(np.triu(q >= t.close_level, 1))
+    pairs = tuple(zip(a_idx.tolist(), b_idx.tolist()))
     return PairSet(pairs)
 
 

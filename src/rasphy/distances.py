@@ -115,8 +115,12 @@ def distorted_metric(qstar: np.ndarray) -> DistortedMetric:
         raise ValueError("agreement matrix must be square")
     if not np.array_equal(q, q.T):
         raise ValueError("agreement matrix must be symmetric")
+    # one output array; the caller's ``qstar`` is left as it is
+    d = np.minimum(q, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(q > 0.0, -np.log(np.minimum(q, 1.0)), np.inf)
+        np.log(d, out=d)
+    np.negative(d, out=d)
+    d[~(q > 0.0)] = np.inf
     d[q >= 1.0] = MIN_POSITIVE_DISTANCE
     np.fill_diagonal(d, 0.0)
     return DistortedMetric._from_symmetric(d)

@@ -122,53 +122,60 @@ class PipelineReport:
             raise self.error
 
 
-# (stage, report field, call, hint, detail).  ``call`` and ``detail``
-# read the run state: "aln", "model", "cfg", "thresholds", "labels" and
-# the output of every earlier stage under its name.  Calls name their
-# function through its module at call time, so a patched module
-# attribute takes effect.  Only the stages with a hint can fail
-# statistically.
+# (stage, report field, call, hint, detail, reads).  ``call`` and
+# ``detail`` read the run state: "aln", "model", "cfg", "thresholds",
+# "labels" and the output of every earlier stage under its name.
+# ``reads`` names every entry that the two read; after the last stage
+# that reads an entry, the entry leaves the state unless it is also a
+# report field, so an (n, n) output that nothing reads again is freed
+# before the next stage allocates its own.  Calls name their function
+# through its module at call time, so a patched module attribute takes
+# effect.  Only the stages with a hint can fail statistically.
 _STAGES = (
     ("agreement_matrix", None,
      lambda s: _clustering.agreement_matrix(s["aln"], s["model"]),
-     None, None),
+     None, None, ("aln", "model")),
     ("close_pairs", None,
      lambda s: _clustering.close_pairs(s["agreement_matrix"],
                                        s["thresholds"]),
-     None, lambda s: {"candidate_pairs": len(s["close_pairs"])}),
+     None, lambda s: {"candidate_pairs": len(s["close_pairs"])},
+     ("agreement_matrix", "thresholds", "close_pairs")),
     ("sparsify", "pair_set",
      lambda s: _clustering.sparsify(s["close_pairs"], s["agreement_matrix"],
                                     s["thresholds"]),
      "increase k so agreement estimates stabilize, or check f/g against "
      "the data scale",
-     lambda s: {"pair_count": len(s["sparsify"])}),
+     lambda s: {"pair_count": len(s["sparsify"])},
+     ("close_pairs", "agreement_matrix", "thresholds", "sparsify")),
     ("site_statistics", "u_values",
      lambda s: _clustering.all_site_statistics(s["aln"], s["sparsify"],
                                                s["model"]),
-     None, None),
+     None, None, ("aln", "sparsify", "model")),
     ("derive_params", "bin_params",
      lambda s: _binning.derive_params(s["cfg"].reg, s["aln"].n,
                                       s["cfg"].gamma_u),
-     None, None),
+     None, None, ("cfg", "aln")),
     ("bin_sites", "assignment",
      lambda s: _binning.bin_sites(s["site_statistics"], s["derive_params"]),
-     None, None),
+     None, None, ("site_statistics", "derive_params")),
     ("select_abundant", "abundant_bin",
      lambda s: _binning.select_abundant(s["bin_sites"], s["aln"].k),
      "increase k",
      lambda s: {"abundant_bin": s["select_abundant"],
-                "bin_size": len(s["bin_sites"].bins[s["select_abundant"]])}),
+                "bin_size": len(s["bin_sites"].bins[s["select_abundant"]])},
+     ("bin_sites", "aln", "select_abundant")),
     ("bin_agreement", None,
      lambda s: _distances.bin_agreement(
          s["aln"], s["bin_sites"].bins[s["select_abundant"]], s["model"]),
-     None, None),
+     None, None, ("aln", "bin_sites", "select_abundant", "model")),
     ("distorted_metric", "dhat",
      lambda s: _distances.distorted_metric(s["bin_agreement"]),
-     None, None),
+     None, None, ("bin_agreement",)),
     ("reconstruct_topology", "topology",
      lambda s: _reconstruct.reconstruct_topology(
          s["distorted_metric"], s["cfg"].recon, labels=s["labels"]),
-     "increase k or loosen the trust cap", None),
+     "increase k or loosen the trust cap", None,
+     ("distorted_metric", "cfg", "labels")),
 )
 
 
@@ -212,8 +219,10 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
             cfg.reg.max_edge),
         "labels": truth.labels if truth is not None else None,
     }
+    last_reader = {key: name for name, *_, reads in stages for key in reads}
+    fields = {name for name, attr, *_ in stages if attr is not None}
     report = PipelineReport()
-    for name, attr, call, hint, detail in stages:
+    for name, attr, call, hint, detail, reads in stages:
         if report.error is not None:
             report.stages.append(StageRecord(
                 name=name, status="skipped",
@@ -235,6 +244,9 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
             detail=detail(state) if detail is not None else {}))
         if attr is not None:
             setattr(report, attr, state[name])
+        for key in reads:
+            if last_reader[key] == name and key not in fields:
+                del state[key]
 
     if truth is not None:
         _oracle_diagnostics(report, aln, cfg, truth)

@@ -25,17 +25,23 @@ The agglomeration is incremental, with sorted candidate rows as in
 RapidNJ (Simonsen, Mailund and Pedersen, WABI 2008).  Each node ``b``
 owns one sorted run of its usable pairs with the nodes below it, and a
 heap over the heads of the runs yields, in order, only pairs whose two
-ends are alive; a merged node's run is dropped at its next head.  Each
-merge tests candidates until one is confirmed, pushes back those that
-failed and adds the new pseudo-leaf's run, whose distance row is
-computed over arrays in one step.  A pair's distance never changes once
-written, so the order stays exact.
+ends are alive; the runs of a merged pair are dropped at its merge.
+Each merge tests candidates until one is confirmed, pushes back those
+that failed and adds the new pseudo-leaf's run, whose distance row is
+computed over arrays in one step.  A pair's distance never changes
+while both ends live, so the order stays exact.
+
+Distances live in one ``(n, n)`` working matrix ``d`` indexed by slot,
+not by node id: leaf ``i`` sits in slot ``i``, and a merge product
+takes the slot of the lower id of its cherry and overwrites its row
+and column.  Node ids stay the only keys of every order and record; a
+slot only locates a distance.
 
 A failed candidate keeps its verdict with its witness list.  The
 verdict reads only the entries of ``d`` among the pair and its
-witnesses, and entries never change once written, so the verdict stands
-while the list does.  A merge of ``(a, b)`` into ``v`` changes the list
-in two ways only:
+witnesses, and those entries do not change while the nodes live, so
+the verdict stands while the list does.  A merge of ``(a, b)`` into
+``v`` changes the list in two ways only:
 
 - ``a`` or ``b`` is a member.  A merged node never returns, so the list
   has changed for good.
@@ -138,8 +144,9 @@ class _CandidateQueue:
     Node ``b``'s run holds its pairs below ``cap`` with the nodes ``ids``
     below it, sorted once in numpy; the heap holds only the head of each
     run plus single pairs pushed back, as ``(value, a, b, i)`` with ``i``
-    the place in the run or -1.  Every pair of ``b``'s run holds ``b``,
-    so once ``b`` has merged its run is dropped at its next head.
+    the place in the run or -1.  Every pair of ``b``'s run holds ``b``;
+    :meth:`drop` frees the run when ``b`` merges, and its head is
+    skipped when it reaches the top.
     """
 
     def __init__(self, alive: np.ndarray, cap: float):
@@ -163,6 +170,9 @@ class _CandidateQueue:
         else:
             del self._runs[b]
 
+    def drop(self, b: int):
+        self._runs.pop(b, None)
+
     def push(self, pair: tuple):
         heapq.heappush(self._heap, pair + (-1,))
 
@@ -171,7 +181,6 @@ class _CandidateQueue:
         while self._heap:
             value, a, b, i = heapq.heappop(self._heap)
             if not self._alive[b]:
-                self._runs.pop(b, None)
                 continue
             if i >= 0:
                 self._push_head(b, i + 1)
@@ -180,11 +189,18 @@ class _CandidateQueue:
         return None
 
 
-def _witnesses(d: np.ndarray, act: np.ndarray, a: int, b: int, cap: float,
+def _witnesses(d: np.ndarray, slot: np.ndarray, act: np.ndarray,
+               acts: np.ndarray, a: int, b: int, cap: float,
                count: int) -> np.ndarray:
     """The ``count`` active nodes nearest to the pair ``(a, b)`` that are
-    trusted from both ends, ordered by ``(min(d[a, c], d[b, c]), c)``."""
-    da, db = d[a, act], d[b, act]
+    trusted from both ends, ordered by ``(min(d[a, c], d[b, c]), c)``.
+
+    ``d`` is indexed by slot and ``slot`` maps node ids to slots; ``act``
+    holds the active ids in ascending order and ``acts`` their slots, in
+    the same order, so that the stable sort below breaks ties by id.
+    """
+    # a 1-D take from a row view is quicker than 2-D fancy indexing
+    da, db = d[slot[a]][acts], d[slot[b]][acts]
     keep = (da < cap) & (db < cap) & (act != a) & (act != b)
     ids = act[keep]
     key = np.minimum(da, db)[keep]
@@ -205,7 +221,7 @@ def _upper_pairs(m: int) -> tuple:
 def _test_cherry(d: np.ndarray, a: int, b: int, w: np.ndarray, cap: float,
                  margin_floor: float) -> tuple:
     """``(tested, confirmed)`` for the candidate ``(a, b)`` and its
-    witnesses ``w``.
+    witnesses ``w``, all given by their slots in ``d``.
 
     ``tested`` is whether some witness pair ``(c, e)`` is trusted.
     ``confirmed`` is whether every trusted pair splits ``ab|ce`` with
@@ -229,10 +245,10 @@ def _test_cherry(d: np.ndarray, a: int, b: int, w: np.ndarray, cap: float,
     return True, bool(wins.all())
 
 
-def _verdict_stands(d: np.ndarray, x: int, y: int, w: tuple, cap: float,
-                    count: int, merges) -> bool:
-    """Whether the witness list ``w`` of the pair ``(x, y)`` is still
-    its list after the merges ``(a, b, v)``.
+def _verdict_stands(d: np.ndarray, slot: np.ndarray, x: int, y: int,
+                    w: tuple, cap: float, count: int, merges) -> bool:
+    """Whether the witness list ``w`` of the live pair ``(x, y)`` is
+    still its list after the merges ``(a, b, v, slot of v)``.
 
     The list stays ``w`` while every member lives and no other trusted
     node comes before its last member (no other trusted node at all,
@@ -241,16 +257,25 @@ def _verdict_stands(d: np.ndarray, x: int, y: int, w: tuple, cap: float,
     comes before the last member iff its key is smaller.  Such a product
     holds a place in the list until it merges in turn; a merged member
     never comes back.
+
+    ``d`` is indexed by slot.  The slot of a merged node may since have
+    been taken by a later product, and two reads may hit such a reused
+    slot; neither can change the answer.  A product ``v`` that has
+    merged since may be read through the slot of its successor, but it
+    leaves ``ahead`` again at its own merge further down ``merges``.  If
+    ``w[-1]`` is dead, ``last`` may be read through a reused slot, but
+    the loop returns ``False`` at the merge of ``w[-1]``.
     """
+    sx, sy = slot[x], slot[y]
     full = len(w) == count
-    last = min(d[x, w[-1]], d[y, w[-1]]) if full else None
+    last = min(d[sx, slot[w[-1]]], d[sy, slot[w[-1]]]) if full else None
     ahead = set()  # live merge products that take a place in the list
-    for a, b, v in merges:
+    for a, b, v, sv in merges:
         if a in w or b in w:
             return False
         ahead.discard(a)
         ahead.discard(b)
-        dxv, dyv = d[x, v], d[y, v]
+        dxv, dyv = d[sx, sv], d[sy, sv]
         if dxv < cap and dyv < cap and (not full or min(dxv, dyv) < last):
             ahead.add(v)
     return not ahead
@@ -317,9 +342,11 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     margin_floor = 4.0 * cfg.tau
 
     total = 2 * n - 3  # leaves plus every merge product
-    d = np.full((total, total), np.inf)
-    d[:n, :n] = values
+    # the working matrix, indexed by slot; ``values`` is the caller's
+    d = values.copy()
     np.fill_diagonal(d, 0.0)
+    flat = d.reshape(-1)  # a view, for scattered column writes
+    slot = np.arange(total)  # leaf i in slot i; products' are set at merge
     clades: list = list(labels)
     alive = np.zeros(total, dtype=bool)
     alive[:n] = True
@@ -330,22 +357,24 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
 
     # failed candidates: (a, b) -> (merges seen, witnesses, tested)
     verdicts = {}
-    merges = []  # (a, b, v) of each merge so far
+    merges = []  # (a, b, v, slot of v) of each merge so far
     for v in range(n, total):
         act = np.flatnonzero(alive)
+        acts = slot[act]
         failed = []  # popped live candidates that did not merge
         tested_any = False
         while (entry := queue.pop()) is not None:
             _, a, b = entry
             cached = verdicts.get((a, b))
             if cached is not None and _verdict_stands(
-                    d, a, b, cached[1], cap, cfg.witness_count,
+                    d, slot, a, b, cached[1], cap, cfg.witness_count,
                     merges[cached[0]:]):
                 _, w, tested = cached
             else:
-                witnesses = _witnesses(d, act, a, b, cap, cfg.witness_count)
-                tested, confirmed = _test_cherry(d, a, b, witnesses, cap,
-                                                 margin_floor)
+                witnesses = _witnesses(d, slot, act, acts, a, b, cap,
+                                       cfg.witness_count)
+                tested, confirmed = _test_cherry(
+                    d, slot[a], slot[b], slot[witnesses], cap, margin_floor)
                 if confirmed:
                     break
                 w = tuple(witnesses.tolist())
@@ -363,20 +392,27 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
                 f"{act.size} nodes left; trust horizon or sample size "
                 "too small"
             )
-        # merge the confirmed cherry at its apex
-        dab = d[a, b]
-        heights = 0.5 * (dab + d[a, witnesses] - d[b, witnesses])
+        # merge the confirmed cherry at its apex, into the slot of ``a``
+        sa, sb = int(slot[a]), int(slot[b])
+        da, db = d[sa], d[sb]
+        dab = da[sb]
+        sw = slot[witnesses]
+        heights = 0.5 * (dab + da[sw] - db[sw])
         h_a = _median(heights)
         h_a = min(max(h_a, 0.0), dab)
         h_b = dab - h_a
         clades.append((clades[a], clades[b]))
         alive[a] = alive[b] = False
+        queue.drop(a)
+        queue.drop(b)
         others = np.flatnonzero(alive[:v])
-        row = _pseudo_leaf_row(d[a, others], d[b, others], dab, h_a, h_b)
-        d[v, others] = row
-        d[others, v] = row
+        so = slot[others]
+        row = _pseudo_leaf_row(da[so], db[so], dab, h_a, h_b)
+        slot[v] = sa
+        da[so] = row
+        flat[so * n + sa] = row  # the column, as one flat scatter
         alive[v] = True
-        merges.append((a, b, v))
+        merges.append((a, b, v, sa))
         for entry in failed:
             queue.push(entry)
         queue.add_run(v, row, others)

@@ -553,8 +553,12 @@ def tree_metric(p: Phylogeny) -> np.ndarray:
         dist[c, :lo[c]] = dist[pc, :lo[c]] + w
         dist[c, hi[c]:] = dist[pc, hi[c]:] + w
     out = dist[:n, leaf_at].T
-    # paths summed from either end may differ in the last bit
-    return (out + out.T) / 2.0
+    del dist
+    # paths summed from either end may differ in the last bit; this is
+    # (out + out.T) / 2 bit for bit, with one (n, n) array fewer
+    out = out + out.T
+    out /= 2.0
+    return out
 
 
 def four_point_topology(d, a: int, b: int, c: int, e: int):

@@ -83,6 +83,39 @@ class TestBinSites:
                                    for b in ba.bins])
         assert sorted(together.tolist()) == list(range(len(values)))
 
+    def test_same_bins_as_one_pass_per_bin(self):
+        # the oracle is the former body: one full pass per bin
+        def oracle(u, bp):
+            lo = bp.u_lo - bp.delta_u
+            hi = bp.u_hi + bp.delta_u
+            idx = np.floor((u - lo) / bp.delta_u).astype(np.int64) + 1
+            idx = np.clip(idx, 1, bp.num_bins)
+            idx[(u < lo) | (u >= hi)] = 0
+            return tuple(np.flatnonzero(idx == j)
+                         for j in range(bp.num_bins + 1))
+
+        bp = derive_params(REG, n=64)
+        lo = bp.u_lo - bp.delta_u
+        edges = lo + bp.delta_u * np.arange(bp.num_bins + 1)
+        rng = np.random.default_rng(7)
+        for size in (1, 50, 5000):
+            # bin edges, out-of-range values, and a middle stretch of
+            # interior bins that stays empty
+            u = np.concatenate([
+                rng.choice(edges, size),
+                rng.uniform(lo - 0.5, lo, size),
+                rng.uniform(edges[-1], 1.5, size),
+                rng.uniform(edges[0], edges[2], size),
+                rng.uniform(edges[-3], edges[-1], size)])
+            rng.shuffle(u)
+            want = oracle(u, bp)
+            got = bin_sites(u, bp).bins
+            assert len(got) == len(want)
+            assert any(len(b) == 0 for b in want)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                assert np.array_equal(g, w)
+
     def test_nonfinite_rejected(self):
         bp = derive_params(REG, n=64)
         with pytest.raises(ValueError, match="finite"):

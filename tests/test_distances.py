@@ -118,6 +118,24 @@ class TestDistortedMetric:
         with pytest.raises(ValueError, match="symmetric"):
             distorted_metric(q)
 
+    def test_same_bits_as_where_formula_and_input_kept(self):
+        # the oracle is the former body; the input is public and stays
+        # as it was
+        rng = np.random.default_rng(5)
+        n = 64
+        a = rng.choice([-0.5, 0.0, 1.0, 1.5, np.inf, -np.inf], size=(n, n))
+        a = np.where(rng.random((n, n)) < 0.3, a,
+                     rng.uniform(-0.2, 1.2, size=(n, n)))
+        q = np.triu(a) + np.triu(a, 1).T
+        before = q.tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(q > 0.0, -np.log(np.minimum(q, 1.0)), np.inf)
+        want[q >= 1.0] = MIN_POSITIVE_DISTANCE
+        np.fill_diagonal(want, 0.0)
+        got = distorted_metric(q).values
+        assert got.tobytes() == want.tobytes()
+        assert q.tobytes() == before
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_monotone_transform(self, seed):

@@ -1,10 +1,12 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rasphy.clustering
 import rasphy.pipeline
+import rasphy.reconstruct
 import rasphy.trees
 from rasphy import (EmptyPairSet, PipelineConfig, RateDistribution,
                     RegularityParams, SubstitutionModel,
@@ -121,6 +123,29 @@ class TestRunPipeline:
         assert report.assignment is None and report.topology is None
         with pytest.raises(ValueError, match="unknown stage"):
             run_pipeline(aln, cfg, stop_after="bin_size")
+
+    def test_reconstruction_starts_with_one_live_matrix(self, monkeypatch):
+        # in units of n^2 float64: the agreement matrix and the bin
+        # agreement are freed once read for the last time, so what is
+        # live when reconstruction starts is about its input alone
+        n = 512
+        tree, aln, rates = make_instance(n=n, k=20_000, seed=2)
+        real = rasphy.reconstruct.reconstruct_topology
+        live = []
+
+        def spy(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rasphy.reconstruct, "reconstruct_topology", spy)
+        tracemalloc.start()
+        try:
+            report = run_pipeline(aln, PipelineConfig(reg=REG, rates=rates))
+        finally:
+            tracemalloc.stop()
+        report.raise_if_failed()
+        assert len(live) == 1
+        assert live[0] / (8 * n * n) < 1.5
 
     def test_truth_leaf_count_must_match_alignment(self, monkeypatch):
         tree16, aln16, rates = make_instance(n=16, k=500, seed=9)

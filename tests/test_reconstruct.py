@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rasphy import (AmbiguousCherry, DisconnectedTrustGraph,
-                    ReconstructionConfig, end_to_end_contract_check,
-                    generate_complete_binary,
+                    DistortedMetric, ReconstructionConfig,
+                    end_to_end_contract_check, generate_complete_binary,
                     generate_random_regular, inject_distortion, parse_newick,
                     reconstruct_topology, robinson_foulds, tree_metric)
 from rasphy import reconstruct
@@ -241,8 +241,25 @@ class TestQueueCost:
                                  ReconstructionConfig(tau=0.02))
         assert len(pops) < n * (n - 1) // 20
 
+    def test_merged_runs_are_freed(self, monkeypatch, reg_01_02):
+        # a merged node's run goes at its merge, not when its head
+        # reaches the top of the heap
+        queues = []
+        real = reconstruct._CandidateQueue.__init__
+
+        def spy(self, *args):
+            real(self, *args)
+            queues.append(self)
+
+        monkeypatch.setattr(reconstruct._CandidateQueue, "__init__", spy)
+        tree = generate_random_regular(256, reg_01_02, seed=1)
+        reconstruct_topology(tree_metric(tree), ReconstructionConfig())
+        (queue,) = queues
+        assert all(queue._alive[b] for b in queue._runs)
+
     def test_traced_peak(self, reg_01_02):
-        # in units of n^2 float64; the (2n - 3)^2 working matrix is 4 of them
+        # in units of n^2 float64; the (n, n) working matrix is 1 of them,
+        # the candidate runs at most 0.75
         n = 512
         tree = generate_random_regular(n, reg_01_02, seed=0)
         dhat = inject_distortion(tree_metric(tree), 0.01,
@@ -253,4 +270,35 @@ class TestQueueCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (8 * n * n) < 6.5
+        assert peak / (8 * n * n) < 3
+
+
+class TestInputUntouched:
+    """The input matrix is the pipeline's ``report.dhat``, which
+    ``distances.txt`` is written from; reconstruction works on a copy."""
+
+    @staticmethod
+    def _check(dhat, cfg, raises=None):
+        before = dhat.values.tobytes()
+        if raises is None:
+            reconstruct_topology(dhat, cfg)
+        else:
+            with pytest.raises(raises):
+                reconstruct_topology(dhat, cfg)
+        assert dhat.values.tobytes() == before
+
+    def test_success(self, reg_01_02):
+        n = 256
+        tree = generate_random_regular(n, reg_01_02, seed=4)
+        dhat = inject_distortion(tree_metric(tree), 0.01,
+                                 5 * reg_01_02.max_edge * np.log(n), seed=4)
+        self._check(dhat, ReconstructionConfig(tau=0.01))
+
+    def test_ambiguous_cherry(self, reg_01_02):
+        # the top fails after many merges have reused slots
+        parts = [generate_random_regular(32, reg_01_02, seed=s).to_newick()
+                 .rstrip(";").replace("leaf_", f"s{s}_") for s in range(4)]
+        tree = parse_newick(f"(({parts[0]}:0.01,{parts[1]}:0.01):0.01,"
+                            f"({parts[2]}:0.01,{parts[3]}:0.01):0.01);")
+        self._check(DistortedMetric(values=tree_metric(tree)),
+                    ReconstructionConfig(tau=0.02), raises=AmbiguousCherry)

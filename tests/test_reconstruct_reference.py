@@ -200,8 +200,8 @@ def test_no_candidate_retested_with_unchanged_witnesses(monkeypatch):
     real = reconstruct._witnesses
     calls = []
 
-    def spy(d, act, a, b, cap, count):
-        w = real(d, act, a, b, cap, count)
+    def spy(d, slot, act, acts, a, b, cap, count):
+        w = real(d, slot, act, acts, a, b, cap, count)
         calls.append(((a, b), tuple(w.tolist())))
         return w
 
