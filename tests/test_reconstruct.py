@@ -201,6 +201,24 @@ class TestDecisionPins:
             monkeypatch, dhat, ReconstructionConfig(tau=0.01)) == (
             "eba52bd586e1ab8ee4d09742175c6b4d98fea2b2776d669e0194336d4cb025ef")
 
+    def test_random_tree_witness_calls(self, monkeypatch, reg_01_02):
+        # the cache of failed verdicts does the same work: a failed
+        # candidate is tested again only once its witness list changed
+        n = 2048
+        tree = generate_random_regular(n, reg_01_02, seed=11)
+        dhat = inject_distortion(tree_metric(tree), 0.01,
+                                 5 * reg_01_02.max_edge * np.log(n), seed=3)
+        real = reconstruct._witnesses
+        calls = []
+
+        def spy(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(reconstruct, "_witnesses", spy)
+        reconstruct_topology(dhat, ReconstructionConfig(tau=0.01))
+        assert len(calls) == 2173
+
     def test_ties_decide(self, monkeypatch):
         # every edge 0.2, exact distances: most candidates tie, and the
         # order (value, lower id, higher id) picks the merge
