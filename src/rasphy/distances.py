@@ -140,17 +140,19 @@ def verify_distortion(dhat: DistortedMetric, true_scaled: np.ndarray,
     est = dhat.values
     if d.shape != est.shape:
         raise ValueError("metric shapes differ")
-    n = d.shape[0]
-    a_idx, b_idx = np.triu_indices(n, k=1)
-    dv, ev = d[a_idx, b_idx], est[a_idx, b_idx]
-    short = (dv < psi + tau) | (ev < psi + tau)
-    err = np.abs(dv - ev)
-    bad = short & ~(err < tau)
-    violations = int(bad.sum())
+    # pairs a < b, as a strict upper-triangle mask in row-major order
+    short = np.triu((d < psi + tau) | (est < psi + tau), 1)
+    err = np.subtract(d, est)
+    np.abs(err, out=err)
+    bad = np.less(err, tau)
+    np.logical_not(bad, out=bad)
+    bad &= short
     worst = None
-    if violations:
-        errs = np.where(bad, np.where(np.isfinite(err), err, np.inf), -1.0)
-        w = int(np.argmax(errs))
-        worst = (int(a_idx[w]), int(b_idx[w]), float(err[w]))
-    return DistortionReport(violations=violations, checked=int(short.sum()),
+    if (idx := np.flatnonzero(bad)).size:
+        errs = err.reshape(-1)[idx]
+        errs[np.isnan(errs)] = np.inf  # ranks with the censored pairs
+        w = int(idx[np.argmax(errs)])
+        worst = (*divmod(w, d.shape[0]), float(err.flat[w]))
+    return DistortionReport(violations=int(idx.size),
+                            checked=int(np.count_nonzero(short)),
                             tau=tau, psi=psi, worst=worst)

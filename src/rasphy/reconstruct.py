@@ -37,24 +37,18 @@ takes the slot of the lower id of its cherry and overwrites its row
 and column.  Node ids stay the only keys of every order and record; a
 slot only locates a distance.
 
-A failed candidate keeps its verdict with its witness list.  The
-verdict reads only the entries of ``d`` among the pair and its
-witnesses, and those entries do not change while the nodes live, so
-the verdict stands while the list does.  A merge of ``(a, b)`` into
-``v`` changes the list in two ways only:
-
-- ``a`` or ``b`` is a member.  A merged node never returns, so the list
-  has changed for good.
-- ``v`` is trusted from both ends and comes before the last member, or
-  the list is shorter than ``witness_count``.  ``v`` then holds a place
-  until it merges in turn.  Its id exceeds every live id, so a tie with
-  the last member's key leaves it out.
-
-A candidate popped again with its list unchanged fails again without a
-test.  The cache also keeps whether any witness pair was trusted, which
-decides between :class:`AmbiguousCherry` and
-:class:`DisconnectedTrustGraph` when no candidate passes.  A test checks
-all witness pairs of a candidate in one array expression.
+A failed candidate is pushed back with its verdict: that round's
+product id, its witness list and whether any witness pair was trusted.
+The verdict reads only entries of ``d`` among the pair and its
+witnesses, which do not change while they live, so it stands while the
+list does.  The list has changed iff a member is dead, or a live
+product made since is trusted from both ends and comes before the last
+member (any such product, when the list is short of ``witness_count``);
+a product's id exceeds every member's, so a tie with the last member's
+key leaves it out.  A candidate popped again with its list unchanged
+fails again without a test, and its trusted flag decides between
+:class:`AmbiguousCherry` and :class:`DisconnectedTrustGraph` when no
+candidate passes.  A test checks all witness pairs in one expression.
 
 Every comparison is homogeneous in the distance scale, so a global
 rescaling of the input (with the configuration scaled along) cannot
@@ -112,12 +106,15 @@ class ReconstructionConfig:
     witness_count: int = 6
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
+        if not 0.0 <= self.tau < np.inf:
+            raise ValueError("tau must be finite and nonnegative, "
+                             f"not {self.tau!r}")
         if self.trust_cap is not None and not self.trust_cap > 4.0 * self.tau:
             raise ValueError("trust_cap must exceed 4 * tau")
-        if self.witness_count < 2:
-            raise ValueError("witness_count must be at least 2")
+        if (not isinstance(self.witness_count, (int, np.integer))
+                or self.witness_count < 2):
+            raise ValueError("witness_count must be an integer of at "
+                             f"least 2, not {self.witness_count!r}")
 
 
 def _resolve_trust_cap(vals: np.ndarray, cfg: ReconstructionConfig) -> float:
@@ -143,8 +140,10 @@ class _CandidateQueue:
 
     Node ``b``'s run holds its pairs below ``cap`` with the nodes ``ids``
     below it, sorted once in numpy; the heap holds only the head of each
-    run plus single pairs pushed back, as ``(value, a, b, i)`` with ``i``
-    the place in the run or -1.  Every pair of ``b``'s run holds ``b``;
+    run, as ``(value, a, b, i, None)`` with ``i`` the place in the run,
+    plus failed pairs pushed back, as ``(value, a, b, -1, verdict)``.
+    ``(value, a, b, i)`` is unique among live entries, so the heap never
+    compares a verdict.  Every pair of ``b``'s run holds ``b``;
     :meth:`drop` frees the run when ``b`` merges, and its head is
     skipped when it reaches the top.
     """
@@ -166,26 +165,27 @@ class _CandidateQueue:
     def _push_head(self, b: int, i: int):
         vals, ids = self._runs[b]
         if i < vals.size:
-            heapq.heappush(self._heap, (float(vals[i]), int(ids[i]), b, i))
+            heapq.heappush(self._heap,
+                           (float(vals[i]), int(ids[i]), b, i, None))
         else:
             del self._runs[b]
 
     def drop(self, b: int):
         self._runs.pop(b, None)
 
-    def push(self, pair: tuple):
-        heapq.heappush(self._heap, pair + (-1,))
+    def push(self, pair: tuple, verdict: tuple):
+        heapq.heappush(self._heap, pair + (-1, verdict))
 
     def pop(self) -> tuple | None:
-        """The next pair whose two ends are alive, or ``None``."""
+        """``(value, a, b, verdict)`` of the next live pair, or ``None``."""
         while self._heap:
-            value, a, b, i = heapq.heappop(self._heap)
+            value, a, b, i, verdict = heapq.heappop(self._heap)
             if not self._alive[b]:
                 continue
             if i >= 0:
                 self._push_head(b, i + 1)
             if self._alive[a]:
-                return value, a, b
+                return value, a, b, verdict
         return None
 
 
@@ -245,40 +245,25 @@ def _test_cherry(d: np.ndarray, a: int, b: int, w: np.ndarray, cap: float,
     return True, bool(wins.all())
 
 
-def _verdict_stands(d: np.ndarray, slot: np.ndarray, x: int, y: int,
-                    w: tuple, cap: float, count: int, merges) -> bool:
-    """Whether the witness list ``w`` of the live pair ``(x, y)`` is
-    still its list after the merges ``(a, b, v, slot of v)``.
-
-    The list stays ``w`` while every member lives and no other trusted
-    node comes before its last member (no other trusted node at all,
-    when the list is short of ``count``).  Only merge products join the
-    active nodes, and a product's id exceeds every live id, so a product
-    comes before the last member iff its key is smaller.  Such a product
-    holds a place in the list until it merges in turn; a merged member
-    never comes back.
-
-    ``d`` is indexed by slot.  The slot of a merged node may since have
-    been taken by a later product, and two reads may hit such a reused
-    slot; neither can change the answer.  A product ``v`` that has
-    merged since may be read through the slot of its successor, but it
-    leaves ``ahead`` again at its own merge further down ``merges``.  If
-    ``w[-1]`` is dead, ``last`` may be read through a reused slot, but
-    the loop returns ``False`` at the merge of ``w[-1]``.
+def _verdict_stands(d: np.ndarray, slot: np.ndarray, alive: np.ndarray,
+                    x: int, y: int, w: tuple, products: range, cap: float,
+                    count: int) -> bool:
+    """Whether ``w``, the witness list of the live pair ``(x, y)`` when
+    its test failed, is still its list after the merges that made
+    ``products``, by the rule in the module docstring.  ``d`` is indexed
+    by slot, and only the slots of live nodes are read.
     """
+    if not all(alive[c] for c in w):
+        return False
     sx, sy = slot[x], slot[y]
     full = len(w) == count
     last = min(d[sx, slot[w[-1]]], d[sy, slot[w[-1]]]) if full else None
-    ahead = set()  # live merge products that take a place in the list
-    for a, b, v, sv in merges:
-        if a in w or b in w:
-            return False
-        ahead.discard(a)
-        ahead.discard(b)
-        dxv, dyv = d[sx, sv], d[sy, sv]
-        if dxv < cap and dyv < cap and (not full or min(dxv, dyv) < last):
-            ahead.add(v)
-    return not ahead
+    for p in products:
+        if alive[p]:
+            dxp, dyp = d[sx, slot[p]], d[sy, slot[p]]
+            if dxp < cap and dyp < cap and (not full or min(dxp, dyp) < last):
+                return False
+    return True
 
 
 def _median(x: np.ndarray) -> float:
@@ -355,21 +340,17 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     for b in range(1, n):
         queue.add_run(b, values[b, :b], np.arange(b, dtype=np.int32))
 
-    # failed candidates: (a, b) -> (merges seen, witnesses, tested)
-    verdicts = {}
-    merges = []  # (a, b, v, slot of v) of each merge so far
     for v in range(n, total):
         act = np.flatnonzero(alive)
         acts = slot[act]
-        failed = []  # popped live candidates that did not merge
+        failed = []  # (pair, verdict) of each popped candidate that failed
         tested_any = False
         while (entry := queue.pop()) is not None:
-            _, a, b = entry
-            cached = verdicts.get((a, b))
-            if cached is not None and _verdict_stands(
-                    d, slot, a, b, cached[1], cap, cfg.witness_count,
-                    merges[cached[0]:]):
-                _, w, tested = cached
+            value, a, b, verdict = entry
+            if verdict is not None and _verdict_stands(
+                    d, slot, alive, a, b, verdict[1], range(verdict[0], v),
+                    cap, cfg.witness_count):
+                _, w, tested = verdict
             else:
                 witnesses = _witnesses(d, slot, act, acts, a, b, cap,
                                        cfg.witness_count)
@@ -378,9 +359,8 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
                 if confirmed:
                     break
                 w = tuple(witnesses.tolist())
-            verdicts[(a, b)] = (len(merges), w, tested)
             tested_any = tested_any or tested
-            failed.append(entry)
+            failed.append(((value, a, b), (v, w, tested)))
         else:
             if tested_any:
                 raise AmbiguousCherry(
@@ -412,9 +392,8 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         da[so] = row
         flat[so * n + sa] = row  # the column, as one flat scatter
         alive[v] = True
-        merges.append((a, b, v, sa))
-        for entry in failed:
-            queue.push(entry)
+        for pair, verdict in failed:
+            queue.push(pair, verdict)
         queue.add_run(v, row, others)
     return Topology.from_nested(tuple(clades[c] for c in np.flatnonzero(alive)))
 

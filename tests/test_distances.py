@@ -12,7 +12,7 @@ from rasphy import (Alignment, DistortedMetric, RateDistribution,
                     bin_agreement,
                     distorted_metric, generate_random_regular,
                     simulate_alignment, tree_metric, verify_distortion)
-from rasphy.distances import MIN_POSITIVE_DISTANCE
+from rasphy.distances import MIN_POSITIVE_DISTANCE, DistortionReport
 
 
 class TestBinAgreement:
@@ -152,6 +152,40 @@ class TestDistortedMetric:
         assert np.all(d2[iu] <= d1[iu])
 
 
+def _reference_verify_distortion(dhat, true_scaled, tau, psi):
+    """``verify_distortion`` over int64 ``triu_indices`` pairs, its former
+    body, as an oracle."""
+    d = np.asarray(true_scaled, dtype=float)
+    est = dhat.values
+    a_idx, b_idx = np.triu_indices(d.shape[0], k=1)
+    dv, ev = d[a_idx, b_idx], est[a_idx, b_idx]
+    short = (dv < psi + tau) | (ev < psi + tau)
+    err = np.abs(dv - ev)
+    bad = short & ~(err < tau)
+    violations = int(bad.sum())
+    worst = None
+    if violations:
+        errs = np.where(bad, np.where(np.isfinite(err), err, np.inf), -1.0)
+        w = int(np.argmax(errs))
+        worst = (int(a_idx[w]), int(b_idx[w]), float(err[w]))
+    return DistortionReport(violations=violations, checked=int(short.sum()),
+                            tau=tau, psi=psi, worst=worst)
+
+
+def _noisy(d, tau, psi, seed, spread=1.0):
+    """``d`` with symmetric uniform noise in ``(-spread tau, spread tau)``,
+    censored to ``inf`` at ``psi + tau`` and beyond."""
+    n = d.shape[0]
+    rng = np.random.default_rng(seed)
+    est = d.copy()
+    iu = np.triu_indices(n, k=1)
+    est[iu] += rng.uniform(-spread * tau, spread * tau, size=len(iu[0]))
+    est.T[iu] = est[iu]
+    est[d >= psi + tau] = np.inf
+    np.fill_diagonal(est, 0.0)
+    return est
+
+
 class TestVerifyDistortion:
     def _true(self, seed=4):
         tree = generate_random_regular(16, RegularityParams(0.1, 0.2, 1.2),
@@ -192,6 +226,65 @@ class TestVerifyDistortion:
         est[2, 3] = est[3, 2] = np.inf
         report = verify_distortion(DistortedMetric(est), d, tau=0.05, psi=2.0)
         assert report.violations >= 1
+
+    def test_same_report_as_reference(self):
+        tree = generate_random_regular(64, RegularityParams(0.1, 0.2, 1.2),
+                                       seed=5)
+        d = tree_metric(tree)
+        tau, psi = 0.05, 1.5
+        # short pairs at distance 1.0, to plant exactly tied errors on
+        for a, b in ((0, 7), (1, 8), (2, 9), (3, 5), (4, 6)):
+            d[a, b] = d[b, a] = 1.0
+        cases = {
+            "exact": d.copy(),
+            "inside tau": _noisy(d, tau, psi, seed=1, spread=0.5),
+            "violations": _noisy(d, tau, psi, seed=2, spread=3.0),
+        }
+        # short entries censored to inf: the worst error is inf, tied
+        censored = _noisy(d, tau, psi, seed=3, spread=0.5)
+        censored[2, 9] = censored[9, 2] = np.inf
+        censored[0, 7] = censored[7, 0] = np.inf
+        cases["censored"] = censored
+        # two violations with the same error; the first in row order wins
+        tied = d.copy()
+        tied[3, 5] = tied[5, 3] = tied[1, 8] = tied[8, 1] = 1.5
+        tied[4, 6] = tied[6, 4] = 1.25
+        cases["tied"] = tied
+        for name, est in cases.items():
+            dhat = DistortedMetric(est)
+            got = verify_distortion(dhat, d, tau, psi)
+            assert got == _reference_verify_distortion(dhat, d, tau, psi), name
+        assert verify_distortion(DistortedMetric(d), d, tau, psi).worst is None
+        assert verify_distortion(DistortedMetric(tied), d, tau,
+                                 psi).worst == (1, 8, 0.5)
+        assert verify_distortion(DistortedMetric(censored), d, tau,
+                                 psi).worst == (0, 7, np.inf)
+        assert verify_distortion(DistortedMetric(cases["violations"]), d,
+                                 tau, psi).violations > 10
+        # a NaN error ranks as inf, so the censored (0, 7) still comes first
+        nan_true = d.copy()
+        nan_true[3, 5] = nan_true[5, 3] = np.nan
+        dhat = DistortedMetric(censored)
+        got = verify_distortion(dhat, nan_true, tau, psi)
+        assert got == _reference_verify_distortion(dhat, nan_true, tau, psi)
+        assert got.violations == 3 and got.worst == (0, 7, np.inf)
+
+    def test_traced_peak(self):
+        # in units of n^2 float64 beyond the two input matrices
+        n = 512
+        tree = generate_random_regular(n, RegularityParams(0.1, 0.2, 1.5),
+                                       seed=0)
+        d = tree_metric(tree)
+        tau, psi = 0.01, 5 * 0.2 * math.log(n)
+        dhat = DistortedMetric(_noisy(d, tau, psi, seed=0, spread=1.5))
+        tracemalloc.start()
+        try:
+            report = verify_distortion(dhat, d, tau, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.violations > 0
+        assert peak / (8 * n * n) < 2
 
     def test_bad_parameters_rejected(self):
         d = self._true()

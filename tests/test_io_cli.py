@@ -481,6 +481,17 @@ class TestPipelineCommand:
         assert "--truth" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_tau_is_input_error(self, tmp_path, capsys):
+        aln = tmp_path / "aln.txt"
+        aln.write_text("4 4 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
+        out = tmp_path / "pipe"
+        code = run_cli([
+            "pipeline", "--alignment", str(aln), "--f", "0.1", "--g", "0.2",
+            "--big-m", "1.5", "--tau", "nan", "--out-dir", str(out)])
+        assert code == 2
+        assert "tau" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     @pytest.mark.parametrize("extra", [[], ["--stats-only"]])
     def test_stage_failure_is_reported(self, tmp_path, capsys, extra):
         # no two leaves ever agree, so no pair is close

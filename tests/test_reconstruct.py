@@ -15,6 +15,14 @@ from rasphy import reconstruct
 NOISELESS = ReconstructionConfig(trust_cap=np.inf, tau=0.0)
 
 
+def _four_subtrees(size, reg):
+    """Four random ``size``-leaf subtrees joined by 0.01 edges."""
+    parts = [generate_random_regular(size, reg, seed=s).to_newick()
+             .rstrip(";").replace("leaf_", f"s{s}_") for s in range(4)]
+    return parse_newick(f"(({parts[0]}:0.01,{parts[1]}:0.01):0.01,"
+                        f"({parts[2]}:0.01,{parts[3]}:0.01):0.01);")
+
+
 class TestNoiseless:
     def test_exact_quartet(self, quartet):
         d = tree_metric(quartet)
@@ -148,6 +156,13 @@ class TestErrors:
             ReconstructionConfig(trust_cap=0.4, tau=0.1)
         with pytest.raises(ValueError, match="witness"):
             ReconstructionConfig(witness_count=1)
+        for tau in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                ReconstructionConfig(tau=tau)
+        for count in (2.5, 6.0, "6"):
+            with pytest.raises(ValueError, match="witness_count"):
+                ReconstructionConfig(witness_count=count)
+        ReconstructionConfig(tau=0.01, witness_count=np.int64(6))
 
 
 class TestInjectDistortion:
@@ -241,10 +256,7 @@ class TestQueueCost:
         # four 128-leaf subtrees joined by 0.01 edges, below 4*tau: the
         # subtrees resolve and the top fails with 8 nodes left, when
         # almost every pair in the queue holds a merged node
-        parts = [generate_random_regular(128, reg_01_02, seed=s).to_newick()
-                 .rstrip(";").replace("leaf_", f"s{s}_") for s in range(4)]
-        tree = parse_newick(f"(({parts[0]}:0.01,{parts[1]}:0.01):0.01,"
-                            f"({parts[2]}:0.01,{parts[3]}:0.01):0.01);")
+        tree = _four_subtrees(128, reg_01_02)
         n = tree.n_leaves
         real = heapq.heappop
         pops = []
@@ -291,6 +303,54 @@ class TestQueueCost:
         assert peak / (8 * n * n) < 3
 
 
+class TestVerdictRule:
+    """A failed candidate's verdict stands exactly when a fresh witness
+    list equals the one it failed with, at n=512 where slots are reused."""
+
+    @staticmethod
+    def _checks(monkeypatch, dhat, cfg) -> dict:
+        real = reconstruct._verdict_stands
+        seen = {True: 0, False: 0}
+
+        def spy(d, slot, alive, x, y, w, products, cap, count):
+            stands = real(d, slot, alive, x, y, w, products, cap, count)
+            act = np.flatnonzero(alive)
+            fresh = reconstruct._witnesses(d, slot, act, slot[act], x, y,
+                                           cap, count)
+            assert stands == (tuple(fresh.tolist()) == w), (x, y, w)
+            seen[stands] += 1
+            return stands
+
+        monkeypatch.setattr(reconstruct, "_verdict_stands", spy)
+        try:
+            reconstruct_topology(dhat, cfg)
+        except (AmbiguousCherry, DisconnectedTrustGraph):
+            pass
+        return seen
+
+    def test_failure_at_the_top(self, monkeypatch, reg_01_02):
+        tree = _four_subtrees(128, reg_01_02)
+        seen = self._checks(monkeypatch, tree_metric(tree),
+                            ReconstructionConfig(tau=0.02))
+        assert seen[True] > 0 and seen[False] > 0
+
+    def test_noisy(self, monkeypatch, reg_01_02):
+        n = 512
+        tree = generate_random_regular(n, reg_01_02, seed=0)
+        dhat = inject_distortion(tree_metric(tree), 0.01,
+                                 5 * reg_01_02.max_edge * np.log(n), seed=0)
+        seen = self._checks(monkeypatch, dhat, ReconstructionConfig(tau=0.01))
+        assert seen[True] > 0 and seen[False] > 0
+
+    def test_ties(self, monkeypatch):
+        # every edge 0.2, exact distances: witness keys tie, and a trust
+        # cap of 1.3 lets some candidates fail
+        tree = generate_complete_binary(9, 0.2)
+        seen = self._checks(monkeypatch, tree_metric(tree),
+                            ReconstructionConfig(trust_cap=1.3))
+        assert seen[True] > 0 and seen[False] > 0
+
+
 class TestInputUntouched:
     """The input matrix is the pipeline's ``report.dhat``, which
     ``distances.txt`` is written from; reconstruction works on a copy."""
@@ -314,9 +374,6 @@ class TestInputUntouched:
 
     def test_ambiguous_cherry(self, reg_01_02):
         # the top fails after many merges have reused slots
-        parts = [generate_random_regular(32, reg_01_02, seed=s).to_newick()
-                 .rstrip(";").replace("leaf_", f"s{s}_") for s in range(4)]
-        tree = parse_newick(f"(({parts[0]}:0.01,{parts[1]}:0.01):0.01,"
-                            f"({parts[2]}:0.01,{parts[3]}:0.01):0.01);")
+        tree = _four_subtrees(32, reg_01_02)
         self._check(DistortedMetric(values=tree_metric(tree)),
                     ReconstructionConfig(tau=0.02), raises=AmbiguousCherry)
