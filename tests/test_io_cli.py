@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import tracemalloc
@@ -505,6 +506,42 @@ class TestPipelineCommand:
         assert "pipeline: stage 'sparsify' failed" in capsys.readouterr().err
         assert "sparsify.status=failed" in (out / "report.txt").read_text()
         assert not (out / "pairs.txt").exists()
+
+
+class TestFloatTextPins:
+    """sha256 of the float text the CLI writes, from ``rasphy simulate``
+    then ``rasphy pipeline --truth`` at n=32, k=2e4 under ``gamma:4``.
+    With g=0.5 and seed 12 the run recovers the tree and ``distances.txt``
+    holds ``inf`` entries, so the pins cover finite, infinite and zero
+    cells, the lambda sidecar and the bin edges."""
+
+    PINS = {
+        "lambdas.txt":
+            "47014bceeeb6540c2b79e75228b440b81b94d1d0f29a0e938e09948f084a5bd7",
+        "u_values.csv":
+            "5c8bc44a730b665d8c16bccaff43092507f71b544131cb92234b98d27ee1725d",
+        "distances.txt":
+            "b095d254e2498038eec3ed15f96cca46bfcc8e65ce4dec103060271abd00e132",
+        "bins.csv":
+            "687289a9752e9280427bdf6d42eb933e6105204d9c3fa240a3e95f0000a29b77",
+    }
+
+    def test_digests(self, tmp_path, capsys):
+        common = ["--f", "0.1", "--g", "0.5", "--big-m", "4.5",
+                  "--rates", "gamma:4"]
+        sim, out = tmp_path / "sim", tmp_path / "pipe"
+        assert run_cli(["simulate", "--n", "32", *common, "--k", "20000",
+                        "--r", "4", "--seed", "12",
+                        "--out-dir", str(sim)]) == 0
+        assert run_cli(["pipeline", "--alignment", str(sim / "alignment.txt"),
+                        *common, "--truth", str(sim / "tree.nwk"),
+                        "--out-dir", str(out)]) == 0
+        assert "rf=0" in capsys.readouterr().out
+        assert "inf" in (out / "distances.txt").read_text()
+        got = {name: hashlib.sha256(
+                   ((sim if name == "lambdas.txt" else out) / name)
+                   .read_bytes()).hexdigest() for name in self.PINS}
+        assert got == self.PINS
 
 
 class TestEvalCommand:
