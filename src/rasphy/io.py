@@ -1,8 +1,9 @@
 """File formats: alignments, rate sidecars, trees, pair sets, matrices,
 reports, and the rate-distribution config grammar.
 
-Formats are plain text so downstream plotting and batch tooling can
-consume them without this package:
+Formats are plain text, with floats as Python's shortest round-trip
+``repr``, so downstream plotting and batch tooling can consume them
+without this package:
 
 alignment        header line ``k n r`` then k lines of n space-separated
                  integer states; :func:`write_alignment` separates by
@@ -190,9 +191,10 @@ def _read_fixed_width(fh):
 
 
 def write_lambdas(path, lambdas):
+    lams = np.asarray(lambdas, dtype=float)
     with open(path, "w") as fh:
-        for lam in np.asarray(lambdas, dtype=float):
-            fh.write(f"{float(lam)!r}\n")
+        for block in np.split(lams, range(1 << 14, len(lams), 1 << 14)):
+            fh.write("".join([f"{lam!r}\n" for lam in block.tolist()]))
 
 
 def read_lambdas(path) -> np.ndarray:
@@ -222,15 +224,14 @@ def write_pairset(path, pairs: PairSet, labels):
 
 
 def write_statistics_csv(path, u_values, hidden_lambdas=None):
+    columns = [np.asarray(c, dtype=float) for c in (u_values, hidden_lambdas)
+               if c is not None]
+    if columns[-1].shape != columns[0].shape:
+        raise ValueError("u_values and hidden_lambdas differ in length")
     with open(path, "w") as fh:
-        if hidden_lambdas is None:
-            fh.write("site,U_value\n")
-            for i, u in enumerate(u_values):
-                fh.write(f"{i},{float(u)!r}\n")
-        else:
-            fh.write("site,U_value,hidden_lambda\n")
-            for i, (u, lam) in enumerate(zip(u_values, hidden_lambdas)):
-                fh.write(f"{i},{float(u)!r},{float(lam)!r}\n")
+        fh.write("site,U_value" + ",hidden_lambda" * (len(columns) - 1) + "\n")
+        _write_float_rows(fh, range(len(columns[0])),
+                          np.column_stack(columns), ",")
 
 
 def write_bin_report(path, assignment: BinAssignment, k: int):
@@ -250,12 +251,12 @@ def write_bin_report(path, assignment: BinAssignment, k: int):
 
 
 def write_distance_matrix(path, values: np.ndarray, labels):
-    rows = np.asarray(values, dtype=float).tolist()
+    values = np.asarray(values, dtype=float)
+    if len(labels) != len(values):
+        raise ValueError(f"{len(labels)} labels for {len(values)} rows")
     with open(path, "w") as fh:
-        fh.write(f"{len(rows)}\n")
-        for i, row in enumerate(rows):
-            # repr of a float is its shortest round-trip text; inf is "inf"
-            fh.write(f"{labels[i]} {' '.join(map(repr, row))}\n")
+        fh.write(f"{len(values)}\n")
+        _write_float_rows(fh, labels, values, " ")
 
 
 def read_distance_matrix(path):
@@ -270,6 +271,28 @@ def read_distance_matrix(path):
             labels.append(parts[0])
             rows.append([float(x) for x in parts[1:]])
     return np.array(rows), labels
+
+
+def _float_rows(values, sep) -> list:
+    """Rows of the 2-D ``values`` as ``sep``-joined float ``repr``s.  Each
+    distinct bit pattern, not value (``-0.0 == 0.0``), is formatted once."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    if 2 * len(keys) > bits.size:  # mostly distinct: cell by cell is faster
+        return [sep.join(map(repr, row)) for row in bits.view(float).tolist()]
+    texts = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    return [sep.join(row)
+            for row in texts[inverse.reshape(bits.shape)].tolist()]
+
+
+def _write_float_rows(fh, heads, values, sep):
+    """Write ``heads[i]``, ``sep`` and row i of :func:`_float_rows` as line i,
+    formatting and writing at most 128 KiB of cells (or one row) at a time."""
+    step = max(1, (1 << 17) // max(1, 8 * values.shape[1]))
+    for start in range(0, len(values), step):
+        rows = _float_rows(values[start:start + step], sep)
+        fh.write("".join([f"{head}{sep}{row}\n" for head, row
+                          in zip(heads[start:start + step], rows)]))
 
 
 # -- config files -------------------------------------------------------------

@@ -6,12 +6,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rasphy import (Alignment, BinningParams, RateDistribution,
                     RegularityParams, generate_random_regular,
                     simulate_alignment)
 from rasphy import io as rio
 from rasphy.cli import main
+from rasphy.distances import MIN_POSITIVE_DISTANCE
+
+# bit patterns of -0.0, 0.0, +-inf, 5e-324, the smallest normal, a quiet
+# NaN, a negative NaN and a NaN with a payload
+_NAMED_BITS = [int(b) for b in np.array(
+    [-0.0, 0.0, np.inf, -np.inf, 5e-324, MIN_POSITIVE_DISTANCE, np.nan, 1e16,
+     1e-5]).view(np.uint64)] + [0xFFF8000000000000, 0x7FF0000000000001]
 
 
 def run_cli(args):
@@ -183,6 +192,91 @@ class TestFileFormats:
         write_cells(tmp_path / "cells.txt", values, labels)
         assert ((tmp_path / "fast.txt").read_bytes()
                 == (tmp_path / "cells.txt").read_bytes())
+
+    def test_float_rows_named_values(self):
+        named = [-0.0, 0.0, np.inf, -np.inf, 5e-324, MIN_POSITIVE_DISTANCE,
+                 1e16, 1e-5, np.nan]
+        # repeated three times, so each distinct value is formatted once
+        values = np.array(named * 3).reshape(3, -1)
+        assert rio._float_rows(values, " ") == [
+            " ".join(map(repr, row)) for row in values.tolist()]
+        assert rio._float_rows(values, " ")[0].split()[:2] == ["-0.0", "0.0"]
+        for shape in ((0, 0), (1, 1), (1, 0), (2, 0), (0, 3)):
+            assert rio._float_rows(np.ones(shape), ",") == (
+                [""] * shape[0] if shape[1] == 0 else
+                [",".join(["1.0"] * shape[1])] * shape[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_float_rows_match_repr(self, data):
+        # any float64 bit pattern: NaNs with payloads or a set sign bit,
+        # subnormals, both zeros; drawn from a small pool as often as
+        # not, so both the formatted-once path and cell by cell are taken
+        shape = data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+        pool = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                                  max_size=4))
+        bits = data.draw(st.lists(
+            st.sampled_from(pool) | st.integers(0, 2**64 - 1)
+            | st.sampled_from(_NAMED_BITS),
+            min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        values = np.array(bits, dtype=np.uint64).view(float).reshape(shape)
+        assert rio._float_rows(values, " ") == [
+            " ".join(map(repr, row)) for row in values.tolist()]
+
+    def test_writers_match_repr_across_blocks(self, tmp_path):
+        # 300 rows are 5 blocks of 54 and one of 30; the first rows hold
+        # few distinct values, the rest are all distinct
+        n = 300
+        rng = np.random.default_rng(3)
+        values = rng.exponential(size=(n, n))
+        values[:100] = -np.log(rng.integers(1, 60, size=(100, n)) / 60.0)
+        values[7, 3], values[8, 5] = -0.0, np.nan
+        labels = [f"t{i}" for i in range(n)]
+        rio.write_distance_matrix(tmp_path / "d.txt", values, labels)
+        assert (tmp_path / "d.txt").read_text() == f"{n}\n" + "".join(
+            f"{label} {' '.join(map(repr, row))}\n"
+            for label, row in zip(labels, values.tolist()))
+        u = rng.choice([0.25, -0.0, 0.5, np.nan], size=20_001)
+        lams = rng.gamma(4.0, 0.25, size=20_001)
+        rio.write_statistics_csv(tmp_path / "u.csv", u, lams)
+        assert (tmp_path / "u.csv").read_text() == (
+            "site,U_value,hidden_lambda\n" + "".join(
+                f"{i},{a!r},{b!r}\n"
+                for i, (a, b) in enumerate(zip(u.tolist(), lams.tolist()))))
+        rio.write_lambdas(tmp_path / "lams.txt", lams)
+        assert (tmp_path / "lams.txt").read_text() == "".join(
+            f"{lam!r}\n" for lam in lams.tolist())
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_distance_matrix_write_memory_bounded(self, tmp_path, distinct):
+        # in units of n^2 float64: a block of rows at a time, never the
+        # whole matrix's text (about 4 units cell by cell)
+        n = 1024
+        rng = np.random.default_rng(0)
+        values = (rng.exponential(size=(n, n)) if distinct else
+                  -np.log(rng.integers(1, 900, size=(n, n)) / 900.0))
+        labels = [f"leaf_{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            rio.write_distance_matrix(tmp_path / "d.txt", values, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) < 1
+
+    def test_statistics_csv_length_mismatch_writes_nothing(self, tmp_path):
+        path = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match="differ in length"):
+            rio.write_statistics_csv(path, [0.25, 0.75], [0.5])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labels", [["x", "y"], ["x", "y", "z", "w"]])
+    def test_distance_matrix_label_mismatch_writes_nothing(self, tmp_path,
+                                                           labels):
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValueError, match="labels for 3 rows"):
+            rio.write_distance_matrix(path, np.zeros((3, 3)), labels)
+        assert not path.exists()
 
     def test_pairset_lines(self, tmp_path):
         from rasphy import PairSet
