@@ -147,12 +147,15 @@ def verify_distortion(dhat: DistortedMetric, true_scaled: np.ndarray,
     bad = np.less(err, tau)
     np.logical_not(bad, out=bad)
     bad &= short
+    checked = int(np.count_nonzero(short))
+    violations = int(np.count_nonzero(bad))
     worst = None
-    if (idx := np.flatnonzero(bad)).size:
-        errs = err.reshape(-1)[idx]
-        errs[np.isnan(errs)] = np.inf  # ranks with the censored pairs
-        w = int(idx[np.argmax(errs)])
-        worst = (*divmod(w, d.shape[0]), float(err.flat[w]))
-    return DistortionReport(violations=int(idx.size),
-                            checked=int(np.count_nonzero(short)),
-                            tau=tau, psi=psi, worst=worst)
+    if violations:  # rank the violating errors in place, NaN as inf
+        np.copyto(err, -1.0, where=np.logical_not(bad, out=bad))
+        nan = np.isnan(err, out=short)
+        np.copyto(err, np.inf, where=nan)
+        w = int(np.argmax(err))
+        worst = (*divmod(w, d.shape[0]),
+                 np.nan if nan.flat[w] else float(err.flat[w]))
+    return DistortionReport(violations=violations, checked=checked, tau=tau,
+                            psi=psi, worst=worst)
