@@ -193,8 +193,8 @@ def _read_fixed_width(fh):
 def write_lambdas(path, lambdas):
     lams = np.asarray(lambdas, dtype=float)
     with open(path, "w") as fh:
-        for block in np.split(lams, range(1 << 14, len(lams), 1 << 14)):
-            fh.write("".join([f"{lam!r}\n" for lam in block.tolist()]))
+        for block in np.split(lams, range(1 << 12, len(lams), 1 << 12)):
+            fh.write("\n".join([*map(repr, block.tolist()), ""]))
 
 
 def read_lambdas(path) -> np.ndarray:
