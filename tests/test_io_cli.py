@@ -16,11 +16,12 @@ from rasphy import io as rio
 from rasphy.cli import main
 from rasphy.distances import MIN_POSITIVE_DISTANCE
 
-# bit patterns of -0.0, 0.0, +-inf, 5e-324, the smallest normal, a quiet
-# NaN, a negative NaN and a NaN with a payload
+# bit patterns of -0.0, 0.0, +-inf, 5e-324, the smallest normal, 1e16 and
+# 1e-5 (where repr switches notation), a quiet NaN, a NaN with the sign bit
+# set and a NaN with a payload
 _NAMED_BITS = [int(b) for b in np.array(
-    [-0.0, 0.0, np.inf, -np.inf, 5e-324, MIN_POSITIVE_DISTANCE, np.nan, 1e16,
-     1e-5]).view(np.uint64)] + [0xFFF8000000000000, 0x7FF0000000000001]
+    [-0.0, 0.0, np.inf, -np.inf, 5e-324, MIN_POSITIVE_DISTANCE, 1e16, 1e-5,
+     np.nan]).view(np.uint64)] + [0xFFF8000000000000, 0x7FF0000000000001]
 
 
 def run_cli(args):
@@ -194,10 +195,9 @@ class TestFileFormats:
                 == (tmp_path / "cells.txt").read_bytes())
 
     def test_float_rows_named_values(self):
-        named = [-0.0, 0.0, np.inf, -np.inf, 5e-324, MIN_POSITIVE_DISTANCE,
-                 1e16, 1e-5, np.nan]
         # repeated three times, so each distinct value is formatted once
-        values = np.array(named * 3).reshape(3, -1)
+        values = np.array(_NAMED_BITS * 3, dtype=np.uint64).view(float)
+        values = values.reshape(3, -1)
         assert rio._float_rows(values, " ") == [
             " ".join(map(repr, row)) for row in values.tolist()]
         assert rio._float_rows(values, " ")[0].split()[:2] == ["-0.0", "0.0"]
