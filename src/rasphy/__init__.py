@@ -24,8 +24,8 @@ from .pipeline import (ClassificationReport, PipelineConfig, PipelineError,
                        PipelineReport, identifiability_witness, run_pipeline,
                        site_classification_report)
 from .reconstruct import (AmbiguousCherry, DisconnectedTrustGraph,
-                          ReconstructionConfig, inject_distortion,
-                          reconstruct_topology)
+                          ReconstructionConfig, end_to_end_contract_check,
+                          inject_distortion, reconstruct_topology)
 from .trees import (NewickError, Phylogeny, RegularityParams,
                     StatisticalFailure, Topology, four_point_topology,
                     generate_complete_binary, generate_random_regular,

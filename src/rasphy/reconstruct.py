@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import DistortedMetric
-from .trees import StatisticalFailure, Topology
+from .trees import Phylogeny, StatisticalFailure, Topology, tree_metric
 # not called here; perfbench/spans.py looks this name up in this module
 from .trees import quartet_margin  # noqa: F401
 
@@ -73,6 +73,7 @@ __all__ = [
     "AmbiguousCherry",
     "DisconnectedTrustGraph",
     "ReconstructionConfig",
+    "end_to_end_contract_check",
     "inject_distortion",
     "reconstruct_topology",
 ]
@@ -417,3 +418,27 @@ def inject_distortion(metric: np.ndarray, tau: float, psi: float,
     out[d >= psi + tau] = np.inf
     np.fill_diagonal(out, 0.0)
     return DistortedMetric(values=out)
+
+
+def end_to_end_contract_check(p: Phylogeny, cfg: ReconstructionConfig,
+                              injected_tau: float, injected_psi: float,
+                              seeds, lam_scale: float = 1.0) -> float:
+    """Fraction of seeds for which reconstruction from a synthetic
+    distortion of the (rescaled) true metric returns the true topology.
+
+    Out-of-contract settings may fail; failures and reconstruction
+    errors count against the rate but never raise.
+    """
+    truth = p.topology()
+    metric = lam_scale * tree_metric(p)
+    hits = 0
+    seeds = list(seeds)
+    for seed in seeds:
+        dhat = inject_distortion(metric, injected_tau, injected_psi, seed)
+        try:
+            recon = reconstruct_topology(dhat, cfg, labels=p.labels)
+        except (AmbiguousCherry, DisconnectedTrustGraph):
+            continue
+        if recon == truth:
+            hits += 1
+    return hits / len(seeds)

@@ -2,10 +2,8 @@ import os
 
 import pytest
 
-from rasphy import (AmbiguousCherry, DisconnectedTrustGraph, Phylogeny,
-                    RateDistribution, RegularityParams, SubstitutionModel,
-                    inject_distortion, parse_newick, reconstruct_topology,
-                    tree_metric)
+from rasphy import (Phylogeny, RateDistribution, RegularityParams,
+                    SubstitutionModel, parse_newick)
 
 
 @pytest.fixture(autouse=True)
@@ -87,26 +85,3 @@ def brute_force_splits(tree) -> frozenset:
         if 2 <= len(side) <= n - 2:
             out.add(frozenset(side))
     return frozenset(out)
-
-
-def end_to_end_contract_check(p, cfg, injected_tau, injected_psi, seeds,
-                              lam_scale=1.0):
-    """Fraction of seeds for which reconstruction from a synthetic
-    distortion of the (rescaled) true metric returns the true topology.
-
-    Out-of-contract settings may fail; failures and reconstruction
-    errors count against the rate but never raise.
-    """
-    truth = p.topology()
-    metric = lam_scale * tree_metric(p)
-    hits = 0
-    seeds = list(seeds)
-    for seed in seeds:
-        dhat = inject_distortion(metric, injected_tau, injected_psi, seed)
-        try:
-            recon = reconstruct_topology(dhat, cfg, labels=p.labels)
-        except (AmbiguousCherry, DisconnectedTrustGraph):
-            continue
-        if recon == truth:
-            hits += 1
-    return hits / len(seeds)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import rasphy as rp
-from conftest import end_to_end_contract_check
 
 RNG_SEED = 20240 + 613
 
@@ -328,7 +327,7 @@ def test_08_distortion_contract():
         hits = 0
         for seed in range(40):
             tree = rp.generate_random_regular(n, params, seed=seed)
-            hits += end_to_end_contract_check(
+            hits += rp.end_to_end_contract_check(
                 tree, cfg, f / 5, psi, seeds=[seed * 13 + 1])
         rates_by_n[n] = hits / 40
     elapsed = time.time() - t0

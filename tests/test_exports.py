@@ -43,7 +43,7 @@ PUBLIC_NAMES = {
         "Topology", "agreement_matrix", "all_site_statistics",
         "bin_agreement", "bin_sites", "certify_sparsity", "check_assumption",
         "close_pairs", "derive_params", "distorted_metric",
-        "exact_leaf_distribution",
+        "end_to_end_contract_check", "exact_leaf_distribution",
         "expected_statistic_curve", "four_point_topology",
         "full_sum_statistics", "generate_complete_binary",
         "generate_random_regular", "identifiability_witness",
@@ -89,7 +89,8 @@ PUBLIC_NAMES = {
     ],
     "rasphy.reconstruct": [
         "AmbiguousCherry", "DisconnectedTrustGraph", "ReconstructionConfig",
-        "inject_distortion", "reconstruct_topology",
+        "end_to_end_contract_check", "inject_distortion",
+        "reconstruct_topology",
     ],
     "rasphy.trees": [
         "NewickError", "Phylogeny", "RegularityParams", "StatisticalFailure",

@@ -7,11 +7,10 @@ import pytest
 
 from rasphy import (AmbiguousCherry, DisconnectedTrustGraph,
                     DistortedMetric, ReconstructionConfig,
-                    generate_complete_binary, generate_random_regular,
-                    inject_distortion, parse_newick, reconstruct_topology,
-                    robinson_foulds, tree_metric)
+                    end_to_end_contract_check, generate_complete_binary,
+                    generate_random_regular, inject_distortion, parse_newick,
+                    reconstruct_topology, robinson_foulds, tree_metric)
 from rasphy import reconstruct
-from conftest import end_to_end_contract_check
 
 NOISELESS = ReconstructionConfig(trust_cap=np.inf, tau=0.0)
 
