@@ -278,8 +278,6 @@ def _float_rows(values, sep) -> list:
     distinct bit pattern, not value (``-0.0 == 0.0``), is formatted once."""
     bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
     keys, inverse = np.unique(bits, return_inverse=True)
-    if 2 * len(keys) > bits.size:  # mostly distinct: cell by cell is faster
-        return [sep.join(map(repr, row)) for row in bits.view(float).tolist()]
     texts = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
     return [sep.join(row)
             for row in texts[inverse.reshape(bits.shape)].tolist()]

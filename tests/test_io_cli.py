@@ -211,7 +211,7 @@ class TestFileFormats:
     def test_float_rows_match_repr(self, data):
         # any float64 bit pattern: NaNs with payloads or a set sign bit,
         # subnormals, both zeros; drawn from a small pool as often as
-        # not, so both the formatted-once path and cell by cell are taken
+        # not, so arrays range from few distinct values to all distinct
         shape = data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
         pool = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
                                   max_size=4))
