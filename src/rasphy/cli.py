@@ -14,6 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
+
 from . import io as _io
 from .models import SubstitutionModel, check_assumption, simulate_alignment
 from .pipeline import PipelineConfig, identifiability_witness, run_pipeline
