@@ -125,6 +125,12 @@ def _digest(q):
     return hashlib.sha256(q.astype("<f8").tobytes()).hexdigest()
 
 
+def _pairs_digest(pairs):
+    """sha256 of a pair set's pairs as little-endian int64, in order."""
+    return hashlib.sha256(np.array(pairs.pairs, dtype="<i8").tobytes()
+                          ).hexdigest()
+
+
 class TestAgreementGolden:
     # at n=4 a site chunk of the counting kernel holds 2**20 sites, so
     # k = 2**20 + 1 puts one site in a second chunk
@@ -211,6 +217,20 @@ class TestSparsify:
         with pytest.raises(ValueError, match="empty"):
             sparsify(PairSet(()), np.eye(2), thresholds())
 
+    # sha256 of the kept pairs as little-endian int64, on the agreement of
+    # k=2000 simulated sites: noisy enough for thousands of candidates
+    @pytest.mark.parametrize("n, digest", [
+        (512, "589fbf3dda16cbef38d230759d286a7f0872b3d2c51a9a8679b6567f084c1fca"),
+        (2048, "169e77ba52e9bd3fe6923e7ed1c5c83b0d248ed520b953f8969244e5d4d821ce"),
+    ])
+    def test_kept_pairs_pinned(self, jc, two_speed, reg_01_02, n, digest):
+        tree = generate_random_regular(n, reg_01_02, seed=5)
+        aln = simulate_alignment(tree, jc, two_speed, 2000, seed=5)
+        t = thresholds(0.2)
+        q = agreement_matrix(aln, jc)
+        got = sparsify(close_pairs(q, t), q, t)
+        assert _pairs_digest(got) == digest
+
     def test_simulated_output_passes_certificate(self, jc, two_speed):
         params = RegularityParams(0.2, 0.2, 1.5)
         tree = generate_complete_binary(8, 0.2)
@@ -259,6 +279,12 @@ class TestOracleSparsify:
             want = certify_sparsity(pairs, tree, reg_01_02)
             assert certify_sparsity(pairs, tree, reg_01_02, dist=d) == want
         assert want.detail.startswith("1 pairs outside")
+
+    def test_kept_pairs_pinned(self, reg_01_02):
+        tree = generate_random_regular(512, reg_01_02, seed=5)
+        got = oracle_sparsify(tree, reg_01_02, m=1.0)
+        assert _pairs_digest(got) == (
+            "f5efed1d9f9ff0065051a2c6766fbed436ce49eaec62819e66a40f275b50a2ab")
 
     def test_parameter_ordering_enforced(self, quartet):
         params = RegularityParams(1.0, 1.0, 6.0)

@@ -63,6 +63,51 @@ class TestNewick:
         with pytest.raises(NewickError, match="duplicate"):
             parse_newick("((a:1,a:1):1,c:1);")
 
+    # every raise site, with its full message and position
+    @pytest.mark.parametrize("text, message, position", [
+        ("a:1;", "tree must start with '('", 0),
+        ("   ", "tree must start with '('", 3),
+        ("(", "unexpected end of input", 1),
+        ("((a:1,b:1):1,\t", "unexpected end of input", 14),
+        ("(,b:1,c:1);", "expected a leaf label", 1),
+        ("(a:1,(:1,c:1):1);", "expected a leaf label", 6),
+        ("((a,b:1):1,c:1);", "missing branch length", 3),
+        ("(a  ,b:1,c:1);", "missing branch length", 2),
+        ("(a", "missing branch length", 2),
+        ("(a:,b:1,c:1);", "unparseable branch length", 3),
+        ("(a: 1,b:1,c:1);", "unparseable branch length", 3),
+        ("(a:1e,b:1,c:1);", "unparseable branch length", 3),
+        ("((a:0,b:1):1,c:1);", "nonpositive branch length 0.0", 4),
+        ("(a:-1,b:1,c:1);", "nonpositive branch length -1.0", 3),
+        ("((a:1,b:1):1,c:1", "unterminated group", 0),
+        ("((a:1", "unterminated group", 1),
+        ("((a:1,b:1:1,c:1);", "unexpected character ':'", 9),
+        ("(a:1,b:1,c:1 :1", "unexpected character ':'", 13),
+        ("(a:1 b:1,c:1);", "unexpected character 'b'", 5),
+        ("((a:1,b:1):1,c:1)", "missing ';' terminator", 17),
+        ("(a:1,b:1,c:1):1;", "missing ';' terminator", 13),
+        ("(a:1,b:1,c:1)  ", "missing ';' terminator", 15),
+        ("(a:1,b:1);", "fewer than 3 leaves (2) cannot form a degree-3 "
+                       "internal vertex", 0),
+        ("((a:1,a:1):1,c:1);", "duplicate leaf label", 0),
+        ("(a:1,b:1,c:1,d:1);", "root with 4 children is not binary", 0),
+        ("  ((a:1,b:1,c:1):1);", "root with 1 children is not binary", 2),
+        ("((a:1,b:1,c:1):1,d:1,e:1);",
+         "internal vertex with 3 children is not binary", 1),
+        ("((a:1,b:1):1,((c:1):1,d:1):1);",
+         "internal vertex with 1 children is not binary", 14),
+    ])
+    def test_error_table(self, text, message, position):
+        with pytest.raises(NewickError) as err:
+            parse_newick(text)
+        assert str(err.value) == f"{message} (at character {position})"
+        assert err.value.position == position
+
+    def test_whitespace_between_tokens(self):
+        plain = parse_newick("((a:1,b:2):3,c:4,d:5);")
+        spaced = parse_newick(" \n( ( a :1 ,b\t:2 ) :3 ,c:4,\r\nd :5 ) ;junk")
+        assert spaced.labels == plain.labels and spaced.edges == plain.edges
+
 
 def _caterpillar(labels):
     """Caterpillar with ``labels[0]`` and ``labels[1]`` in the deep cherry
