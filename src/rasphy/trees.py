@@ -36,6 +36,7 @@ threads; the random generator takes an explicit seed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,9 @@ __all__ = [
     "tree_metric",
 ]
 
-_NEWICK_META = set("():,;[]'\" \t\n\r")
+_WS = re.compile(r"[ \t\n\r]*")
+_LABEL = re.compile(r"[^():,;\[\]'\" \t\n\r]+")
+_LENGTH = re.compile(r":([0-9+\-.eE]*)")
 
 
 class NewickError(ValueError):
@@ -363,84 +366,60 @@ class Topology(Phylogeny):
 def parse_newick(text: str) -> Phylogeny:
     """Parse a Newick string into a :class:`Phylogeny`.
 
-    Branch lengths are mandatory on every edge and must be positive;
-    a degree-2 root is collapsed (its two child edges merge into one).
-    Errors report the character position of the offending token.
+    Branch lengths are mandatory on every edge, must be positive and are
+    written in ASCII decimals; a degree-2 root is collapsed (its two
+    child edges merge into one).  Errors report the character position
+    of the offending token.
     """
-    pos = 0
-    n_chars = len(text)
     labels: list[str] = []  # in the order met, which numbers the leaves
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n_chars and text[pos] in " \t\n\r":
-            pos += 1
-
-    def parse_label() -> str:
-        nonlocal pos
-        start = pos
-        while pos < n_chars and text[pos] not in _NEWICK_META:
-            pos += 1
-        if pos == start:
-            raise NewickError("expected a leaf label", start)
-        labels.append(text[start:pos])
-        return labels[-1]
-
-    def parse_length(where: int) -> float:
-        nonlocal pos
-        skip_ws()
-        if pos >= n_chars or text[pos] != ":":
-            raise NewickError("missing branch length", where)
-        pos += 1
-        start = pos
-        while pos < n_chars and (text[pos].isdigit() or text[pos] in "+-.eE"):
-            pos += 1
-        try:
-            value = float(text[start:pos])
-        except ValueError:
-            raise NewickError("unparseable branch length", start) from None
-        if value <= 0.0:
-            raise NewickError(f"nonpositive branch length {value}", start)
-        return value
-
+    pos = _WS.match(text).end()
+    if not text.startswith("(", pos):
+        raise NewickError("tree must start with '('", pos)
     # A group is (children, position of its "("), children a list of
     # (subtree, weight), and a subtree is a label or a group.  Groups still
     # open are kept on a stack, so deep trees need no recursion.
-    def parse_tree():
-        nonlocal pos
-        open_groups = []
-        while True:
-            skip_ws()
-            if pos >= n_chars:
-                raise NewickError("unexpected end of input", pos)
-            if text[pos] == "(":
-                open_groups.append(([], pos))
+    open_groups = [([], pos)]
+    pos += 1
+    while open_groups:
+        pos = _WS.match(text, pos).end()
+        if pos == len(text):
+            raise NewickError("unexpected end of input", pos)
+        if text[pos] == "(":
+            open_groups.append(([], pos))
+            pos += 1
+            continue
+        label = _LABEL.match(text, pos)
+        if label is None:
+            raise NewickError("expected a leaf label", pos)
+        labels.append(label[0])
+        node, pos = label[0], label.end()
+        while open_groups:  # attach the finished node, close groups
+            children, open_at = open_groups[-1]
+            length = _LENGTH.match(text, _WS.match(text, pos).end())
+            if length is None:
+                raise NewickError("missing branch length", pos)
+            try:
+                value = float(length[1])
+            except ValueError:
+                raise NewickError("unparseable branch length",
+                                  length.start(1)) from None
+            if value <= 0.0:
+                raise NewickError(f"nonpositive branch length {value}",
+                                  length.start(1))
+            children.append((node, value))
+            pos = _WS.match(text, length.end()).end()
+            if pos == len(text):
+                raise NewickError("unterminated group", open_at)
+            if text[pos] == ",":
                 pos += 1
-                continue
-            node = parse_label()
-            while open_groups:  # attach the finished node, close groups
-                children, open_at = open_groups[-1]
-                children.append((node, parse_length(pos)))
-                skip_ws()
-                if pos >= n_chars:
-                    raise NewickError("unterminated group", open_at)
-                if text[pos] == ",":
-                    pos += 1
-                    break
-                if text[pos] != ")":
-                    raise NewickError(f"unexpected character {text[pos]!r}",
-                                      pos)
-                pos += 1
-                node = open_groups.pop()
-            else:
-                return node
-
-    skip_ws()
-    if pos >= n_chars or text[pos] != "(":
-        raise NewickError("tree must start with '('", pos)
-    root_children, open_at = parse_tree()
-    skip_ws()
-    if pos >= n_chars or text[pos] != ";":
+                break
+            if text[pos] != ")":
+                raise NewickError(f"unexpected character {text[pos]!r}", pos)
+            pos += 1
+            node = open_groups.pop()
+    root_children, open_at = node
+    pos = _WS.match(text, pos).end()
+    if not text.startswith(";", pos):
         raise NewickError("missing ';' terminator", pos)
 
     if len(labels) < 3:

@@ -77,6 +77,8 @@ class TestNewick:
         ("(a:,b:1,c:1);", "unparseable branch length", 3),
         ("(a: 1,b:1,c:1);", "unparseable branch length", 3),
         ("(a:1e,b:1,c:1);", "unparseable branch length", 3),
+        # branch lengths are ASCII decimals: an Arabic-Indic three is not one
+        ("(a:1,b:1,c:\u0663);", "unparseable branch length", 11),
         ("((a:0,b:1):1,c:1);", "nonpositive branch length 0.0", 4),
         ("(a:-1,b:1,c:1);", "nonpositive branch length -1.0", 3),
         ("((a:1,b:1):1,c:1", "unterminated group", 0),
