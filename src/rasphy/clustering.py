@@ -308,19 +308,14 @@ def _greedy_thin(pairs, closeness: np.ndarray, level: float) -> tuple:
     """Pick pairs in descending ``closeness`` (ties lexicographic); after
     each pick drop every pair with a leaf whose closeness to either
     picked leaf reaches ``level``."""
-    order = sorted(pairs, key=lambda ab: (-closeness[ab[0], ab[1]], ab))
-    pa = np.array([a for a, _ in order])
-    pb = np.array([b for _, b in order])
-    alive = np.ones(len(order), dtype=bool)
+    pa, pb = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    order = np.lexsort((pb, pa, -closeness[pa, pb]))
+    crowded = np.zeros(len(closeness), dtype=bool)  # "not below": NaN crowds
     kept = []
-    while alive.any():
-        a_star, b_star = order[np.argmax(alive)]
-        kept.append((a_star, b_star))
-        crowd = np.maximum(
-            np.maximum(closeness[pa, a_star], closeness[pa, b_star]),
-            np.maximum(closeness[pb, a_star], closeness[pb, b_star]),
-        )
-        alive &= crowd < level
+    for a, b in zip(pa[order].tolist(), pb[order].tolist()):
+        if not (crowded[a] or crowded[b]):
+            kept.append((a, b))
+            crowded |= ~(closeness[:, a] < level) | ~(closeness[:, b] < level)
     return tuple(kept)
 
 
