@@ -112,8 +112,9 @@ class BinAssignment:
     def counts(self) -> np.ndarray:
         return np.array([len(b) for b in self.bins])
 
-    def edges(self, j: int) -> tuple:
-        """Half-open interval ``[lo, hi)`` of interior bin ``j >= 1``."""
+    def edges(self, j) -> tuple:
+        """Half-open interval ``[lo, hi)`` of interior bin ``j >= 1``, or
+        the arrays of both edges of an integer array ``j``."""
         bp = self.params
         lo = bp.u_lo - bp.delta_u + (j - 1) * bp.delta_u
         return lo, lo + bp.delta_u

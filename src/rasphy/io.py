@@ -218,6 +218,9 @@ def write_tree(path, tree):
 
 
 def write_pairset(path, pairs: PairSet, labels):
+    top = max((b for _, b in pairs), default=-1)  # each pair has a < b
+    if top >= len(labels):
+        raise ValueError(f"{len(labels)} labels for leaf index {top}")
     with open(path, "w") as fh:
         for a, b in pairs:
             fh.write(f"{labels[a]} {labels[b]}\n")
@@ -236,15 +239,15 @@ def write_statistics_csv(path, u_values, hidden_lambdas=None):
 
 def write_bin_report(path, assignment: BinAssignment, k: int):
     bp = assignment.params
-    threshold = bp.abundance_threshold(k)
     counts = assignment.counts()
+    j = np.arange(1, bp.num_bins + 1)
+    edges = _float_rows(np.column_stack(assignment.edges(j)), ",")
+    abundant = counts[j] >= bp.abundance_threshold(k)
     with open(path, "w") as fh:
         fh.write("bin_index,lower_edge,upper_edge,count,is_abundant\n")
         fh.write(f"0,-inf,+inf,{counts[0]},False\n")
-        for j in range(1, bp.num_bins + 1):
-            lo, hi = assignment.edges(j)
-            abundant = counts[j] >= threshold
-            fh.write(f"{j},{lo!r},{hi!r},{counts[j]},{abundant}\n")
+        fh.write("".join([f"{i},{row},{c},{a}\n" for i, row, c, a in zip(
+            j.tolist(), edges, counts[j].tolist(), abundant.tolist())]))
 
 
 # -- distance matrices --------------------------------------------------------

@@ -284,6 +284,14 @@ class TestFileFormats:
         rio.write_pairset(path, PairSet(((0, 2), (1, 3))), ["a", "b", "c", "d"])
         assert path.read_text() == "a c\nb d\n"
 
+    def test_pairset_label_shortfall_leaves_file_untouched(self, tmp_path):
+        from rasphy import PairSet
+        path = tmp_path / "pairs.txt"
+        path.write_text("old\n")
+        with pytest.raises(ValueError, match="3 labels for leaf index 3"):
+            rio.write_pairset(path, PairSet(((0, 1), (2, 3))), list("abc"))
+        assert path.read_text() == "old\n"
+
     def test_config_grammar(self):
         text = "# comment\nk = 500\nrates = constant  # trailing\n\nf=0.1\n"
         got = rio.parse_config_text(text)
