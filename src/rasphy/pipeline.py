@@ -258,7 +258,7 @@ def _oracle_diagnostics(report: PipelineReport, aln: Alignment,
         bin_idx = report.assignment.bins[report.abundant_bin]
         lam_star = float(aln.hidden_lambdas[bin_idx].mean())
         tau = lam_star * cfg.reg.min_edge / 5.0
-        psi = 5.0 * lam_star * cfg.reg.max_edge * np.log(aln.n)
+        psi = float(5.0 * lam_star * cfg.reg.max_edge * np.log(aln.n))
         report.distortion = _distances.verify_distortion(
             report.dhat, lam_star * dist, tau, psi)
 

@@ -36,6 +36,13 @@ class TestRunPipeline:
         assert report.certificate is not None and report.certificate.ok
         assert report.distortion is not None
         assert [rec.status for rec in report.stages] == ["ok"] * 10
+        # the [distortion] lines of report.txt hold plain numbers, not
+        # numpy scalar reprs such as "np.float64(...)"
+        values = dict(line.split("=", 1)
+                      for line in report.distortion.lines())
+        assert values.pop("distortion_ok") in ("True", "False")
+        for value in values.values():
+            [float(part) for part in value.split(",")]  # worst_pair is a,b
 
     def test_sidecar_never_leaks(self):
         # byte-identical topology with and without the hidden rates
