@@ -160,13 +160,8 @@ def _cmd_simulate(args) -> int:
     tree = parse_newick(tree.to_newick())
     if args.big_m is not None:
         f_for_check = args.f if args.f is not None else g_for_check
-        verdict = check_assumption(
-            rates, RegularityParams(f_for_check, g_for_check, args.big_m))
-        if not verdict.ok:
-            print("simulate: model assumption violated: "
-                  f"phi_inverse(exp(-6g))={verdict.phi_inv_6g!r} > "
-                  f"M={args.big_m!r}", file=sys.stderr)
-            return STAGE_ERROR
+        check_assumption(rates, RegularityParams(
+            f_for_check, g_for_check, args.big_m)).raise_if_failed()
     model = SubstitutionModel.uniform(args.r)
     aln = simulate_alignment(tree, model, rates, args.k, args.seed)
     out = Path(args.out_dir)

@@ -134,7 +134,7 @@ def verify_distortion(dhat: DistortedMetric, true_scaled: np.ndarray,
     estimate below ``psi + tau``, the two must agree within ``tau``.
     Oracle mode: requires the true (rescaled) metric.
     """
-    if tau <= 0.0 or psi <= 0.0:
+    if not (tau > 0.0 and psi > 0.0):
         raise ValueError("tau and psi must be positive")
     d = np.asarray(true_scaled, dtype=float)
     est = dhat.values

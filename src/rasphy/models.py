@@ -75,7 +75,7 @@ class SubstitutionModel:
             pi = tuple(float(x) for x in pi)
             if len(pi) != self.r:
                 raise ValueError("pi must have length r")
-            if min(pi) <= 0.0 or abs(sum(pi) - 1.0) > 1e-12:
+            if not (min(pi) > 0.0 and abs(sum(pi) - 1.0) <= 1e-12):
                 raise ValueError("pi entries must be positive and sum to 1")
         object.__setattr__(self, "pi", pi)
 
@@ -114,7 +114,8 @@ class RateDistribution:
     ``constant``              point mass at 1.
     ``discrete``              finite support, rescaled to mean 1;
                               support points must be positive (no mass
-                              at 0) with positive probabilities.
+                              at 0) and finite, with positive
+                              probabilities.
     ``gamma``                 shape ``a`` and rate ``a`` (mean 1).
     ``lognormal``             location ``-sigma**2 / 2``, scale
                               ``sigma`` (mean 1).
@@ -122,10 +123,10 @@ class RateDistribution:
     ``phi(s)`` is the decay transform ``E[exp(-s*lam)]``: continuous,
     strictly decreasing, ``phi(0) = 1``.  It has a closed form for all
     kinds except lognormal, which is integrated numerically to 1e-10
-    relative accuracy and cached per evaluation point.
+    relative accuracy.
     """
 
-    __slots__ = ("kind", "support", "probs", "shape", "sigma", "_phi_cache")
+    __slots__ = ("kind", "support", "probs", "shape", "sigma")
 
     def __init__(self, kind, support=None, probs=None, shape=None, sigma=None):
         self.kind = kind
@@ -133,7 +134,6 @@ class RateDistribution:
         self.probs = None
         self.shape = None
         self.sigma = None
-        self._phi_cache = {}
         if kind == "constant":
             pass
         elif kind == "discrete":
@@ -141,27 +141,33 @@ class RateDistribution:
             probs = np.asarray(probs, dtype=float)
             if support.ndim != 1 or support.shape != probs.shape or len(support) == 0:
                 raise ValueError("support and probs must be equal-length 1-d")
-            if np.any(support <= 0.0):
+            if not np.all(support > 0.0):
                 raise ValueError("rate support must be strictly positive "
                                  "(an atom at 0 is not allowed)")
-            if np.any(probs <= 0.0):
+            if not np.all(probs > 0.0):
                 raise ValueError("probabilities must be strictly positive")
             total = probs.sum()
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValueError("probabilities must sum to 1")
             probs = probs / total
             mean = float(support @ probs)
             if mean <= 0.0:
                 raise ValueError("rate distribution has zero mean")
+            if mean == np.inf:
+                raise ValueError("rate distribution has infinite mean")
             self.support = support / mean
             self.probs = probs
         elif kind == "gamma":
-            if shape is None or shape <= 0.0:
+            if shape is None or not shape > 0.0:
                 raise ValueError("gamma kind needs a positive shape")
+            if shape == np.inf:
+                raise ValueError("gamma kind needs a finite shape")
             self.shape = float(shape)
         elif kind == "lognormal":
-            if sigma is None or sigma <= 0.0:
+            if sigma is None or not sigma > 0.0:
                 raise ValueError("lognormal kind needs a positive sigma")
+            if sigma == np.inf:
+                raise ValueError("lognormal kind needs a finite sigma")
             self.sigma = float(sigma)
         else:
             raise ValueError(f"unknown rate distribution kind {kind!r}")
@@ -217,9 +223,6 @@ class RateDistribution:
             return float(self.probs @ np.exp(-s * self.support))
         if self.kind == "gamma":
             return (1.0 + s / self.shape) ** (-self.shape)
-        cached = self._phi_cache.get(s)
-        if cached is not None:
-            return cached
         from scipy import integrate
 
         sig = self.sigma
@@ -232,10 +235,8 @@ class RateDistribution:
                 return 0.0
             return math.exp(-s * math.exp(inner) - 0.5 * z * z) * norm
 
-        value, _ = integrate.quad(integrand, -np.inf, np.inf,
-                                  epsabs=1e-14, epsrel=1e-11, limit=200)
-        self._phi_cache[s] = value
-        return value
+        return integrate.quad(integrand, -np.inf, np.inf,
+                              epsabs=1e-14, epsrel=1e-11, limit=200)[0]
 
     def phi_inverse(self, y: float) -> float:
         """The unique ``s >= 0`` with ``phi(s) = y``, for ``y in (0, 1]``;
@@ -617,8 +618,9 @@ def exact_leaf_distribution(p: Phylogeny, model: SubstitutionModel,
 class AssumptionReport:
     """Outcome of the regularity check tying the rate law to the cap M.
 
-    ``ok`` is true iff ``phi_inverse(exp(-6g)) <= M``.  ``mid_scale`` is
-    the derived constant ``phi_inverse(exp(-5g))`` used by the clustering
+    ``ok`` is true iff ``phi_inverse(exp(-6g)) <= M``, with M the
+    ``distance_cap`` checked against.  ``mid_scale`` is the derived
+    constant ``phi_inverse(exp(-5g))`` used by the clustering
     thresholds; when the check passes it is guaranteed to lie in
     ``[5g, M)``.
     """
@@ -626,9 +628,17 @@ class AssumptionReport:
     ok: bool
     phi_inv_6g: float
     mid_scale: float
+    distance_cap: float
 
     def __bool__(self):
         return self.ok
+
+    def raise_if_failed(self):
+        if not self.ok:
+            raise ValueError(
+                "model assumption violated: phi_inverse(exp(-6g)) = "
+                f"{self.phi_inv_6g!r} exceeds the distance cap "
+                f"{self.distance_cap!r}")
 
 
 def check_assumption(rates: RateDistribution,
@@ -646,4 +656,5 @@ def check_assumption(rates: RateDistribution,
         ok=bool(value <= params.distance_cap),
         phi_inv_6g=value,
         mid_scale=m,
+        distance_cap=params.distance_cap,
     )

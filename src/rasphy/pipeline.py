@@ -200,13 +200,7 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
             raise ValueError(f"unknown stage {stop_after!r}")
         stages = _STAGES[:names.index(stop_after) + 1]
     if cfg.rates is not None:
-        verdict = check_assumption(cfg.rates, cfg.reg)
-        if not verdict.ok:
-            raise ValueError(
-                "model assumption violated: phi_inverse(exp(-6g)) = "
-                f"{verdict.phi_inv_6g!r} exceeds the distance cap "
-                f"{cfg.reg.distance_cap!r}"
-            )
+        check_assumption(cfg.rates, cfg.reg).raise_if_failed()
     state = {
         "aln": aln.without_lambdas(),
         "model": SubstitutionModel.uniform(aln.r),

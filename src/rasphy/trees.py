@@ -138,8 +138,9 @@ class Phylogeny:
         for u, v, w in edges:
             if not (0 <= u < n_vertices and 0 <= v < n_vertices) or u == v:
                 raise ValueError(f"bad edge ({u}, {v})")
-            if w <= 0.0:
-                raise ValueError(f"nonpositive edge weight {w} on ({u}, {v})")
+            if not 0.0 < w < np.inf:
+                raise ValueError(f"edge weight {w} on ({u}, {v}) is not "
+                                 "positive and finite")
             adj[u].append((v, w))
             adj[v].append((u, w))
         for vid in range(n_vertices):
@@ -366,10 +367,10 @@ class Topology(Phylogeny):
 def parse_newick(text: str) -> Phylogeny:
     """Parse a Newick string into a :class:`Phylogeny`.
 
-    Branch lengths are mandatory on every edge, must be positive and are
-    written in ASCII decimals; a degree-2 root is collapsed (its two
-    child edges merge into one).  Errors report the character position
-    of the offending token.
+    Branch lengths are mandatory on every edge, must be positive and
+    finite and are written in ASCII decimals; a degree-2 root is
+    collapsed (its two child edges merge into one).  Errors report the
+    character position of the offending token.
     """
     labels: list[str] = []  # in the order met, which numbers the leaves
     pos = _WS.match(text).end()
@@ -405,6 +406,9 @@ def parse_newick(text: str) -> Phylogeny:
                                   length.start(1)) from None
             if value <= 0.0:
                 raise NewickError(f"nonpositive branch length {value}",
+                                  length.start(1))
+            if value == np.inf:
+                raise NewickError("branch length overflows to inf",
                                   length.start(1))
             children.append((node, value))
             pos = _WS.match(text, length.end()).end()
@@ -616,8 +620,8 @@ def generate_complete_binary(h: int, mu: float) -> Phylogeny:
     """
     if h < 2:
         raise ValueError("h must be at least 2")
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite")
     level = [f"leaf_{i}" for i in range(2 ** h)]
     while len(level) > 2:  # pair neighbours, one level at a time
         level = [((a, mu), (b, mu)) for a, b in zip(level[::2], level[1::2])]

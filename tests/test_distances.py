@@ -293,6 +293,9 @@ class TestVerifyDistortion:
         d = self._true()
         with pytest.raises(ValueError):
             verify_distortion(DistortedMetric(d), d, tau=0.0, psi=1.0)
+        for tau, psi in ((np.nan, 1.0), (0.05, np.nan)):
+            with pytest.raises(ValueError):
+                verify_distortion(DistortedMetric(d), d, tau=tau, psi=psi)
 
     def test_bin_distance_estimate_is_valid_distortion(self):
         # a bin of common-rate sites turns -log(bin agreement) into a

@@ -39,16 +39,18 @@ PUBLIC_NAMES = {
         "EmptyPairSet", "NewickError", "NoAbundantBin", "PairSet",
         "Phylogeny", "PipelineConfig", "PipelineError", "PipelineReport",
         "RateDistribution", "ReconstructionConfig", "RegularityParams",
-        "SparsityCertificate", "StatisticalFailure", "SubstitutionModel",
-        "Topology", "agreement_matrix", "all_site_statistics",
-        "bin_agreement", "bin_sites", "certify_sparsity", "check_assumption",
-        "close_pairs", "derive_params", "distorted_metric",
+        "SparsityCertificate", "StageRecord", "StatisticalFailure",
+        "SubstitutionModel", "Topology", "agreement_matrix",
+        "all_site_statistics", "bin_agreement", "bin_sites",
+        "certify_sparsity", "check_assumption", "close_pairs",
+        "derive_params", "distorted_metric",
         "end_to_end_contract_check", "exact_leaf_distribution",
         "expected_statistic_curve", "four_point_topology",
         "full_sum_statistics", "generate_complete_binary",
         "generate_random_regular", "identifiability_witness",
-        "inject_distortion", "invert_statistic_curve", "oracle_sparsify",
-        "parse_newick", "paths_disjoint", "reconstruct_topology",
+        "inject_distortion", "invert_decreasing", "invert_statistic_curve",
+        "oracle_sparsify", "parse_newick", "paths_disjoint",
+        "reconstruct_topology",
         "robinson_foulds", "run_pipeline", "select_abundant",
         "simulate_alignment", "site_classification_report", "sparsify",
         "sparsity_constant", "transition_matrix", "tree_metric",

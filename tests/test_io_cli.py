@@ -35,17 +35,26 @@ def run_cli(args):
 class TestRatesGrammar:
     def test_round_trips(self):
         for spec in ("constant", "discrete:0.5,0.5;1.5,0.5",
-                     "gamma:2.0", "lognormal:0.6"):
+                     "gamma:2.0", "lognormal:0.6",
+                     "discrete:0.1,0.3;1.7,0.7", "gamma:2.000000001"):
             rates = rio.parse_rates_spec(spec)
             again = rio.parse_rates_spec(rio.format_rates_spec(rates))
             assert again.kind == rates.kind
+            assert (again.shape, again.sigma) == (rates.shape, rates.sigma)
+            if rates.kind == "discrete":
+                # rescaling to mean 1 is not exact: within 1 ulp
+                np.testing.assert_array_max_ulp(again.support, rates.support)
+                np.testing.assert_array_max_ulp(again.probs, rates.probs)
 
     def test_atom_at_zero_rejected(self):
         with pytest.raises(ValueError, match="atom at 0"):
             rio.parse_rates_spec("discrete:0,0.5;2,0.5")
 
     def test_bad_grammar_rejected(self):
-        for bad in ("", "discrete", "discrete:1", "weird:3", "gamma:x"):
+        for bad in ("", "discrete", "discrete:1", "weird:3", "gamma:x",
+                    "gamma:nan", "gamma:inf", "lognormal:nan",
+                    "lognormal:inf", "discrete:nan,1", "discrete:1,nan",
+                    "discrete:inf,1", "discrete:1,inf"):
             with pytest.raises(ValueError):
                 rio.parse_rates_spec(bad)
 
@@ -369,6 +378,27 @@ class TestSimulateCommand:
             "--out-dir", str(out)])
         assert code == 2
         assert "2**63" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, rates, message", [
+        (["--n", "8", "--f", "0.1", "--g", "0.2", "--big-m", "1.5"],
+         "gamma:nan", "positive shape"),
+        (["--tree", "{tree}"], "constant",
+         "branch length overflows to inf (at character 12)"),
+        (["--complete-h", "3", "--mu", "0.2", "--big-m", "1.0"], "constant",
+         "phi_inverse"),
+    ], ids=["gamma-nan", "length-1e999", "big-m-too-small"])
+    def test_bad_input_writes_nothing(self, tmp_path, capsys, source, rates,
+                                      message):
+        tree = tmp_path / "t.nwk"
+        tree.write_text("(a:1,b:1,(c:1e999,d:1):1);\n")
+        out = tmp_path / "x"
+        code = run_cli(["simulate"]
+                       + [arg.format(tree=tree) for arg in source]
+                       + ["--rates", rates, "--k", "10",
+                          "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_r_above_256_is_input_error(self, tmp_path, capsys):

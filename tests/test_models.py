@@ -18,6 +18,14 @@ from rasphy import models
 LN2 = math.log(2.0)
 
 
+class TestSubstitutionModel:
+    @pytest.mark.parametrize("pi", [(0.0, 1.0), (0.3, 0.3),
+                                    (np.nan, np.nan), (0.5, np.nan)])
+    def test_bad_pi_rejected(self, pi):
+        with pytest.raises(ValueError, match="positive and sum to 1"):
+            SubstitutionModel(2, pi)
+
+
 class TestTransitionMatrix:
     def test_zero_weight_is_identity(self, jc):
         assert np.allclose(transition_matrix(0.0, jc), np.eye(4))

@@ -98,6 +98,7 @@ class TestNewick:
          "internal vertex with 3 children is not binary", 1),
         ("((a:1,b:1):1,((c:1):1,d:1):1);",
          "internal vertex with 1 children is not binary", 14),
+        ("(a:1,b:1,(c:1e999,d:1):1);", "branch length overflows to inf", 12),
     ])
     def test_error_table(self, text, message, position):
         with pytest.raises(NewickError) as err:
@@ -130,6 +131,11 @@ class TestStructure:
                  (9, 5, 1.0)]
         with pytest.raises(ValueError, match="tree is not connected"):
             Phylogeny(edges, "abcdef")
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_edge_weight_rejected(self, w):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Phylogeny([(0, 3, 1.0), (1, 3, w), (2, 3, 1.0)], "abc")
 
     def test_preorder_edges_cover_tree_parents_first(self, five_leaf):
         edges = five_leaf.preorder_edges()
@@ -266,6 +272,11 @@ class TestGenerators:
     def test_complete_binary_h1_rejected(self):
         with pytest.raises(ValueError):
             generate_complete_binary(1, 0.1)
+
+    @pytest.mark.parametrize("mu", [0.0, np.nan, np.inf])
+    def test_complete_binary_bad_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="positive and finite"):
+            generate_complete_binary(3, mu)
 
     def test_random_regular_support(self):
         params = RegularityParams(0.1, 0.2, 1.2)
