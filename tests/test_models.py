@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import itertools
 import math
 import os
 import time
@@ -542,6 +543,29 @@ class TestExactLeafDistribution:
                         prob *= stay if su == sv else 1.0 - stay
                     total[leaves] += prob
         assert np.allclose(got, total, atol=1e-12)
+
+    def test_brute_force_with_skewed_pi(self, five_leaf):
+        # a non-uniform pi tells the edge directions apart; the joint law
+        # of every vertex is prod_e pi_x P_xy(w_e) / prod_v pi_v^(deg-1),
+        # which needs no root, summed over all 3^8 joint states
+        pi = np.array([0.5, 0.3, 0.2])
+        model = SubstitutionModel(3, tuple(pi))
+        rates = RateDistribution.discrete([0.4, 2.0], [0.7, 0.3])
+        n, nv = five_leaf.n_leaves, five_leaf.n_vertices
+        states = np.array(list(itertools.product(range(3), repeat=nv)))
+        want = np.zeros((3,) * n)
+        for lam, weight in zip(*rates.finite_support()):
+            prob = np.full(len(states), weight)
+            for u, v, w in five_leaf.edges:
+                x, y = states[:, u], states[:, v]
+                decay = math.exp(-lam * w)
+                prob *= pi[x] * (pi[y] * (1.0 - decay) + (x == y) * decay)
+            for v in range(n, nv):  # internal vertices have degree 3
+                prob /= pi[states[:, v]] ** 2
+            np.add.at(want, tuple(states[:, :n].T), prob)
+        for root in range(nv):
+            got = exact_leaf_distribution(five_leaf, model, rates, root=root)
+            assert np.abs(got - want).max() < 1e-12
 
     def test_sums_to_one_and_symmetry(self, five_leaf, cfn, two_speed):
         dist = exact_leaf_distribution(five_leaf, cfn, two_speed)
