@@ -556,11 +556,16 @@ def exact_leaf_distribution(p: Phylogeny, model: SubstitutionModel,
     """Exact leaf-state distribution of the scaled Poisson model.
 
     Returns an array of shape ``(r,) * n`` whose ``[s_0, ..., s_{n-1}]``
-    entry is the probability of observing state ``s_i`` at leaf ``i``.
-    Internal states are marginalized by tensor elimination along the
-    tree; the result is mixed over the (finite) rate support.  Only
-    tractable instances are accepted: ``n <= 8`` leaves, ``r <= 4``
-    states, and a rate distribution with finite support.
+    entry is the probability of observing state ``s_i`` at leaf ``i``:
+    ``pi`` at ``root`` times one :func:`transition_matrix` per edge,
+    directed away from ``root``, summed over the states of the internal
+    vertices, and mixed over the (finite) rate support.  Each rate atom
+    is one ``np.einsum`` labelled by vertex id over the walk's
+    :meth:`~rasphy.trees.Phylogeny.preorder_edges`, with the edges on
+    the path from :attr:`~rasphy.trees.Phylogeny.root` to ``root``
+    reversed.  Only tractable instances are accepted: ``n <= 8``
+    leaves, ``r <= 4`` states, and a rate distribution with finite
+    support.
 
     The output is invariant (to floating-point accuracy) under the
     choice of ``root``, which can be any vertex id.
@@ -573,39 +578,17 @@ def exact_leaf_distribution(p: Phylogeny, model: SubstitutionModel,
     if fs is None:
         raise ValueError("exact enumeration requires a finite-support "
                          "rate distribution")
-    support, probs = fs
     if root is None:
         root = p.root
-    r = model.r
-    pi = np.asarray(model.pi)
-
-    def subtree(v: int, parent: int, lam: float):
-        # returns (tensor with axes [state_v, *leaf axes], leaf id list)
-        tensor = np.ones((r,))
-        leaf_ids: list[int] = []
-        if v < n:
-            tensor = np.eye(r)
-            leaf_ids = [v]
-        for u, w in p.neighbors(v):
-            if u == parent:
-                continue
-            child_t, child_leaves = subtree(u, v, lam)
-            m = transition_matrix(lam * w, model)
-            # bound tensor over the edge: sum out the child state
-            bound = np.tensordot(m, child_t, axes=(1, 0))
-            # outer-combine with what we have so far on the state axis
-            t_shape = tensor.shape + (1,) * (bound.ndim - 1)
-            b_shape = (r,) + (1,) * (tensor.ndim - 1) + bound.shape[1:]
-            tensor = tensor.reshape(t_shape) * bound.reshape(b_shape)
-            leaf_ids = leaf_ids + child_leaves
-        return tensor, leaf_ids
-
-    total = np.zeros((r,) * n)
-    for lam, weight in zip(support, probs):
-        tensor, leaf_ids = subtree(root, -1, float(lam))
-        joint = np.tensordot(pi, tensor, axes=(0, 0))
-        order = np.argsort(leaf_ids)
-        total += weight * np.transpose(joint, axes=order)
+    flip = p.path_edges(root, p.root)
+    edges = [(c, a, w) if (min(a, c), max(a, c)) in flip else (a, c, w)
+             for a, c, w in p.preorder_edges()]
+    total = np.zeros((model.r,) * n)
+    for lam, weight in zip(*fs):
+        operands = [np.asarray(model.pi), [root]]
+        for a, c, w in edges:
+            operands += [transition_matrix(lam * w, model), [a, c]]
+        total += weight * np.einsum(*operands, list(range(n)), optimize=True)
     return total
 
 
@@ -619,9 +602,11 @@ class AssumptionReport:
     """Outcome of the regularity check tying the rate law to the cap M.
 
     ``ok`` is true iff ``phi_inverse(exp(-6g)) <= M``, with M the
-    ``distance_cap`` checked against.  ``mid_scale`` is the derived
-    constant ``phi_inverse(exp(-5g))`` used by the clustering
-    thresholds; when the check passes it is guaranteed to lie in
+    ``distance_cap`` checked against.  ``mid_scale`` is
+    ``phi_inverse(exp(-5g))``, the scaled distance at which the expected
+    decay meets the clustering mid level ``exp(-5g)``.  It is reported,
+    not used: :class:`~rasphy.clustering.ClusteringThresholds` sets its
+    levels ``exp(-c g)`` directly.  When the check passes it lies in
     ``[5g, M)``.
     """
 

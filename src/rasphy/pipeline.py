@@ -277,9 +277,7 @@ def identifiability_witness(p1: Phylogeny, p2: Phylogeny,
     d1 = exact_leaf_distribution(p1, model, rates1)
     d2 = exact_leaf_distribution(p2, model, rates2)
     # align the second distribution's leaf axes to the first's label order
-    axis_of = {lab: i for i, lab in enumerate(p2.labels)}
-    perm = [axis_of[lab] for lab in p1.labels]
-    d2 = np.transpose(d2, axes=perm)
+    d2 = np.transpose(d2, axes=[p2.leaf_id(lab) for lab in p1.labels])
     return 0.5 * float(np.abs(d1 - d2).sum())
 
 

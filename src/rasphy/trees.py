@@ -23,12 +23,15 @@ per site.  The module provides
 Construction roots each tree once, at internal vertex ``n``, with one
 depth-first walk that records every vertex's parent, edge weight, depth
 and block of the walk's leaf order.  ``tree_metric``, ``Phylogeny.splits``,
-``Phylogeny.path_edges`` and the simulator's ``Phylogeny.preorder_edges``
-all read that record.  Trees given as nested groups, parsed Newick,
-``Topology.from_nested``'s tuples and ``generate_complete_binary``'s
-levels, are numbered by one builder, ``_build_nested``; the vertex ids it
-gives are part of the simulator's contract.  It and ``to_newick`` keep
-explicit stacks, so no tree depth reaches Python's recursion limit.
+``Phylogeny.path_edges`` and ``Phylogeny.preorder_edges`` all read that
+record; the simulator walks the last, and the exact leaf-law oracle
+(``models.exact_leaf_distribution``) the last two.  Only ``to_newick``
+walks the tree again, hung from leaf 0.  Trees given as nested groups,
+parsed Newick, ``Topology.from_nested``'s tuples and
+``generate_complete_binary``'s levels, are numbered by one builder,
+``_build_nested``; the vertex ids it gives are part of the simulator's
+contract.  It and ``to_newick`` keep explicit stacks, so no tree depth
+reaches Python's recursion limit.
 
 Everything is immutable after construction and safe to share across
 threads; the random generator takes an explicit seed.
@@ -81,7 +84,7 @@ class RegularityParams:
     ``min_edge`` and ``max_edge`` bound every edge weight of the trees
     under study; ``distance_cap`` is the largest evolutionary distance the
     inference pipeline is allowed to rely on.  Requires
-    ``0 < min_edge <= max_edge < distance_cap``.
+    ``0 < min_edge <= max_edge < distance_cap < inf``.
     """
 
     min_edge: float
@@ -89,9 +92,10 @@ class RegularityParams:
     distance_cap: float
 
     def __post_init__(self):
-        if not (0.0 < self.min_edge <= self.max_edge < self.distance_cap):
+        if not (0.0 < self.min_edge <= self.max_edge < self.distance_cap
+                < np.inf):
             raise ValueError(
-                "need 0 < min_edge <= max_edge < distance_cap, got "
+                "need 0 < min_edge <= max_edge < distance_cap < inf, got "
                 f"f={self.min_edge}, g={self.max_edge}, M={self.distance_cap}"
             )
 

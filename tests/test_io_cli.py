@@ -387,7 +387,9 @@ class TestSimulateCommand:
          "branch length overflows to inf (at character 12)"),
         (["--complete-h", "3", "--mu", "0.2", "--big-m", "1.0"], "constant",
          "phi_inverse"),
-    ], ids=["gamma-nan", "length-1e999", "big-m-too-small"])
+        (["--n", "8", "--f", "0.1", "--g", "0.2", "--big-m", "inf"],
+         "constant", "distance_cap < inf, got f=0.1, g=0.2, M=inf"),
+    ], ids=["gamma-nan", "length-1e999", "big-m-too-small", "big-m-inf"])
     def test_bad_input_writes_nothing(self, tmp_path, capsys, source, rates,
                                       message):
         tree = tmp_path / "t.nwk"
@@ -624,6 +626,24 @@ class TestPipelineCommand:
         assert code == 2
         assert "tau" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
+
+    def test_infinite_big_m_is_input_error(self, tmp_path, capsys):
+        # data that reaches binning, where an infinite cap divided by zero
+        sim = tmp_path / "sim"
+        assert run_cli([
+            "simulate", "--n", "8", "--f", "0.1", "--g", "0.2",
+            "--big-m", "1.5", "--rates", "constant", "--k", "200",
+            "--out-dir", str(sim)]) == 0
+        out = tmp_path / "pipe"
+        code = run_cli([
+            "pipeline", "--alignment", str(sim / "alignment.txt"),
+            "--f", "0.1", "--g", "0.2", "--big-m", "inf",
+            "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "distance_cap < inf, got f=0.1, g=0.2, M=inf" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--stats-only"]])
     def test_stage_failure_is_reported(self, tmp_path, capsys, extra):

@@ -8,8 +8,9 @@ import rasphy.clustering
 import rasphy.pipeline
 import rasphy.reconstruct
 import rasphy.trees
-from rasphy import (EmptyPairSet, PipelineConfig, RateDistribution,
-                    RegularityParams, SubstitutionModel,
+from rasphy import (AmbiguousCherry, EmptyPairSet, PipelineConfig,
+                    PipelineError, RateDistribution, RegularityParams,
+                    SubstitutionModel,
                     generate_complete_binary,
                     generate_random_regular, identifiability_witness,
                     oracle_sparsify, parse_newick, run_pipeline,
@@ -69,6 +70,28 @@ class TestRunPipeline:
             assert statuses[report.error.stage] == "failed"
             skipped = [rec for rec in report.stages if rec.status == "skipped"]
             assert all(rec.reason for rec in skipped)
+
+    def test_raise_if_failed_raises_the_recorded_error(self):
+        tree, aln, rates = make_instance(n=32, k=100, seed=7)
+        report = run_pipeline(aln, PipelineConfig(reg=REG, rates=rates))
+        with pytest.raises(PipelineError) as info:
+            report.raise_if_failed()
+        assert info.value is report.error
+        assert info.value.stage == "reconstruct_topology"
+        assert info.value.hint == "increase k or loosen the trust cap"
+        assert isinstance(info.value.cause, AmbiguousCherry)
+
+    def test_statistical_failure_without_hint_propagates(self, monkeypatch):
+        # agreement_matrix has no hint, so it is not meant to fail
+        # statistically: such a failure is a bug and is not recorded
+        tree, aln, rates = make_instance(n=16, k=2000, seed=9)
+
+        def empty(*args, **kwargs):
+            raise EmptyPairSet("no pairs")
+
+        monkeypatch.setattr(rasphy.clustering, "agreement_matrix", empty)
+        with pytest.raises(EmptyPairSet, match="no pairs"):
+            run_pipeline(aln, PipelineConfig(reg=REG, rates=rates))
 
     def test_programming_errors_propagate(self, monkeypatch):
         tree, aln, rates = make_instance(n=16, k=2000, seed=9)

@@ -305,6 +305,16 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_random_regular(3, RegularityParams(0.1, 0.2, 1.2), 0)
 
+    @pytest.mark.parametrize("f, g, cap", [
+        (0.0, 0.2, 1.5), (-0.1, 0.2, 1.5), (0.3, 0.2, 1.5), (0.1, 0.2, 0.2),
+        (np.nan, 0.2, 1.5), (0.1, np.nan, 1.5), (0.1, 0.2, np.nan),
+        (0.1, 0.2, np.inf),
+    ], ids=["f-zero", "f-negative", "f-above-g", "g-at-cap", "f-nan",
+            "g-nan", "cap-nan", "cap-inf"])
+    def test_regularity_params_rejected(self, f, g, cap):
+        with pytest.raises(ValueError, match="< distance_cap < inf, got"):
+            RegularityParams(f, g, cap)
+
 
 class TestFourPoint:
     def test_exact_quartet(self):
@@ -484,6 +494,13 @@ class TestTopology:
         labels = list(topo.labels)
         labels[0], labels[5] = labels[5], labels[0]
         assert Topology(topo.edges, labels) != topo
+
+    def test_equal_topologies_hash_alike(self):
+        one = Topology.from_nested((("a", "b"), ("c", "d"), "e"))
+        two = Topology.from_nested(("e", ("d", "c"), ("b", "a")))
+        assert one.labels != two.labels  # numbered differently
+        assert one == two
+        assert hash(one) == hash(two) and len({one, two}) == 1
 
 
 def _sha256(text: str) -> str:
