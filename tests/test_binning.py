@@ -45,6 +45,11 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match="inequalities"):
             derive_params(REG, n=64, gamma_u=10.0 * bp_default.gamma_u)
 
+    def test_three_leaves_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            derive_params(REG, n=3)
+        assert str(exc.value) == "n must be at least 4"
+
     def test_ceiling_covers_range(self):
         bp = derive_params(REG, n=100)
         assert bp.num_bins * bp.delta_u >= bp.u_hi - bp.u_lo + 2 * bp.delta_u

@@ -35,6 +35,11 @@ class TestThresholds:
         assert t.safety_gap == pytest.approx(min(gaps))
         assert t.prune_level < t.mid_level < t.close_level
 
+    def test_nonpositive_max_edge_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            ClusteringThresholds.for_max_edge(0.0)
+        assert str(exc.value) == "max edge weight must be positive"
+
 
 class TestAgreementMatrix:
     def test_perfect_agreement_is_one(self, cfn):

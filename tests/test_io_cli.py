@@ -418,6 +418,21 @@ class TestSimulateCommand:
                         "--out-dir", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("source, message", [
+        (["--complete-h", "3"], "--complete-h requires --mu"),
+        (["--n", "8", "--g", "0.2"], "--n requires --f and --g"),
+        (["--n", "8", "--f", "0.1"], "--n requires --f and --g"),
+    ], ids=["complete-h-no-mu", "n-no-f", "n-no-g"])
+    def test_incomplete_source_is_usage_error(self, tmp_path, capsys, source,
+                                              message):
+        out = tmp_path / "x"
+        code = run_cli(["simulate"] + source
+                       + ["--rates", "constant", "--k", "10",
+                          "--out-dir", str(out)])
+        assert code == 1
+        assert f"simulate: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_big_m_with_tree_needs_g(self, tmp_path, capsys):
         tree = tmp_path / "t.nwk"
         tree.write_text("((a:0.2,b:0.2):0.2,(c:0.2,d:0.2):0.2);\n")
@@ -728,6 +743,15 @@ class TestEvalCommand:
         assert printed.startswith("tv=")
         assert float(printed[3:]) > 0.0
         assert out.read_text().strip() == printed
+
+    def test_tv_without_rates_is_usage_error(self, tmp_path, capsys):
+        t = tmp_path / "t.nwk"
+        t.write_text("((a:1,b:1):1,(c:1,d:1):1);\n")
+        for rates in ([], ["--rates1", "constant"], ["--rates2", "constant"]):
+            assert run_cli(["eval", "tv", "--tree1", str(t),
+                            "--tree2", str(t)] + rates) == 1
+            assert "eval tv: --rates1 and --rates2 are required" in \
+                capsys.readouterr().err
 
     def test_mismatched_leaves_is_model_error(self, tmp_path, capsys):
         t1 = tmp_path / "t1.nwk"

@@ -12,8 +12,8 @@ import pytest
 from rasphy import (Alignment, RateDistribution, RegularityParams,
                     SubstitutionModel, check_assumption,
                     exact_leaf_distribution, generate_random_regular,
-                    parse_newick, simulate_alignment, transition_matrix,
-                    tree_metric)
+                    invert_decreasing, parse_newick, simulate_alignment,
+                    transition_matrix, tree_metric)
 from rasphy import models
 
 LN2 = math.log(2.0)
@@ -622,3 +622,32 @@ class TestAlignment:
         with pytest.raises(ValueError, match="per site"):
             Alignment(np.zeros((3, 2), dtype=np.uint8), r=2,
                       hidden_lambdas=np.ones(2))
+
+
+_QUARTET = "((a:1,b:1):1,(c:1,d:1):1);"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SubstitutionModel(1), "alphabet size must be at least 2"),
+    (lambda: SubstitutionModel(3, (0.5, 0.5)), "pi must have length r"),
+    (lambda: RateDistribution.discrete([1.0, 2.0], [1.0]),
+     "support and probs must be equal-length 1-d"),
+    (lambda: RateDistribution("weibull"),
+     "unknown rate distribution kind 'weibull'"),
+    # each product 5e-324 / 3 rounds to 0, so the mean underflows
+    (lambda: RateDistribution.discrete([5e-324] * 3, [1 / 3] * 3),
+     "rate distribution has zero mean"),
+    (lambda: invert_decreasing(lambda s: 1.0, 0.5),
+     "curve never reaches 0.5"),
+    (lambda: simulate_alignment(parse_newick(_QUARTET),
+                                SubstitutionModel.uniform(2),
+                                RateDistribution.constant(), 0, 0),
+     "k must be at least 1"),
+    (lambda: Alignment(np.zeros(3, dtype=np.uint8), r=2),
+     "alignment data must be 2-d (sites x leaves)"),
+], ids=["r-1", "pi-length", "support-probs-length", "kind-weibull",
+        "zero-mean", "curve-never-reaches", "k-0", "data-1d"])
+def test_rejections(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

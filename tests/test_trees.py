@@ -137,6 +137,21 @@ class TestStructure:
         with pytest.raises(ValueError, match="positive and finite"):
             Phylogeny([(0, 3, 1.0), (1, 3, w), (2, 3, 1.0)], "abc")
 
+    @pytest.mark.parametrize("edges, labels, message", [
+        ([(0, 1, 1.0)], "ab", "a phylogeny needs at least 3 leaves"),
+        ([(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)], "aab",
+         "leaf labels must be unique"),
+        ([(0, 3, 1.0), (1, 3, 1.0)], "abc", "3 leaves require 3 edges, got 2"),
+        ([(0, 3, 1.0), (1, 3, 1.0), (2, 9, 1.0)], "abc", "bad edge (2, 9)"),
+        ([(0, 3, 1.0), (1, 3, 1.0), (1, 2, 1.0)], "abc",
+         "leaf 1 has degree 2, expected 1"),
+    ], ids=["two-leaves", "duplicate-label", "edge-count", "bad-edge",
+            "leaf-degree"])
+    def test_bad_structure_rejected(self, edges, labels, message):
+        with pytest.raises(ValueError) as exc:
+            Phylogeny(edges, labels)
+        assert str(exc.value) == message
+
     def test_preorder_edges_cover_tree_parents_first(self, five_leaf):
         edges = five_leaf.preorder_edges()
         reached = {five_leaf.root}
