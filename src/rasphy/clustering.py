@@ -156,9 +156,8 @@ def sparsity_constant(params: RegularityParams) -> float:
 
 #: Bytes of the float32 block that holds one chunk of encoded sites in
 #: the match-counting kernel.  At n=512 and r=4, 16 and 32 MiB ran
-#: fastest of 4 to 64 MiB.  Whatever the bytes allow, a chunk holds at
-#: most ``2**24 // (r - 1)`` sites with sign planes and ``2**24`` with
-#: one-hot planes, so that its float32 sums stay exact integers.
+#: fastest of 4 to 64 MiB.  :func:`_match_counts` also caps a chunk's
+#: site count, to keep its sums exact.
 CHUNK_BYTES = 16 * 2**20
 
 #: Bit ``x`` is the parity of ``x``, for every ``x < 32``.
@@ -189,22 +188,19 @@ def _match_counts(data: np.ndarray, r: int, sites=None) -> np.ndarray:
 
     Walks the sites in chunks, gathering a chunk's rows when ``sites``
     is given, and encodes each chunk into float32 planes whose products
-    ``X.T @ X`` it sums into a float32 partial; the partial adds into a
-    float64 total.  When ``r`` is a power of two up to 32 the planes are
-    the Walsh signs ``X_m(s) = (-1) ** popcount(s & m)`` for ``m = 1 ..
-    r-1``: since ``sum_m X_m(s) X_m(t)`` over ``m = 0 .. r-1`` is ``r``
-    when ``s == t`` and 0 otherwise, and ``X_0 = 1``, the counts are
-    ``(k + total) / r``, from ``r - 1`` products.  Otherwise the planes
-    are the ``r`` one-hot indicators ``[s == x]`` and the total is the
-    counts.
+    ``X.T @ X`` it adds straight into a float64 total.  When ``r`` is a
+    power of two up to 32 the planes are the Walsh signs ``X_m(s) = (-1)
+    ** popcount(s & m)`` for ``m = 1 .. r-1``: since ``sum_m X_m(s)
+    X_m(t)`` over ``m = 0 .. r-1`` is ``r`` when ``s == t`` and 0
+    otherwise, and ``X_0 = 1``, the counts are ``(k + total) / r``, from
+    ``r - 1`` products.  Otherwise the planes are the ``r`` one-hot
+    indicators ``[s == x]`` and the total is the counts.
 
     Exactness: a product entry is a sum of ``+-1`` (or 0/1) over the
     chunk's sites, so every sum BLAS forms is an integer of magnitude at
-    most the chunk's site count.  A sign partial adds ``r - 1`` of them,
-    and a one-hot partial counts agreeing sites, so chunks of at most
-    ``2**24 // (r - 1)`` (signs) or ``2**24`` (one-hot) sites keep every
-    float32 value an integer of magnitude at most 2**24, which float32
-    holds exactly.  The counts are thus the exact integers, whatever
+    most the chunk's site count.  A chunk holds at most ``2**24`` sites,
+    so float32 holds each such integer exactly, and their float64 total
+    is exact too.  The counts are thus the exact integers, whatever
     order BLAS sums in.  The float32 block of a chunk takes at most
     ``CHUNK_BYTES``; the signs are written into it in place, and a
     gathered chunk adds its uint8 rows, a quarter of the block.
@@ -213,8 +209,7 @@ def _match_counts(data: np.ndarray, r: int, sites=None) -> np.ndarray:
     n = data.shape[1]
     signs = 2 <= r <= 32 and r & (r - 1) == 0
     planes = range(1, r) if signs else range(r)
-    rows = min(2**24 // (r - 1 if signs else 1),
-               CHUNK_BYTES // (4 * max(n, 1)))
+    rows = min(2**24, CHUNK_BYTES // (4 * max(n, 1)))
     counts = np.zeros((n, n))
     buf = np.empty((min(rows, k), n), dtype=np.float32)
     for start in range(0, k, rows):
@@ -223,14 +218,12 @@ def _match_counts(data: np.ndarray, r: int, sites=None) -> np.ndarray:
         else:
             block = data[sites[start:start + rows]]
         hot = buf[:len(block)]
-        part = np.zeros((n, n), dtype=np.float32)
         for m in planes:
             if signs:
                 _sign_plane(block, m, hot.view(np.uint32))
             else:
                 np.equal(block, m, out=hot)
-            part += hot.T @ hot
-        counts += part
+            counts += hot.T @ hot
         del block  # a gathered chunk goes before the next one comes
     if signs:
         counts += k
@@ -264,12 +257,10 @@ def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
 
     The match counts come from float32 products over site chunks: ``r -
     1`` products of +-1 Walsh sign planes when ``r`` is a power of two up
-    to 32, ``r`` one-hot products otherwise.  A chunk holds at most
-    ``2**24 // (r - 1)`` sites (signs) or ``2**24`` (one-hot), so every
-    float32 value is an integer of magnitude at most 2**24, which
-    float32 holds exactly; the chunks add up in float64.  Besides a few
-    ``(n, n)`` arrays, the working memory is one float32 block of at
-    most ``CHUNK_BYTES``, whatever the number of sites.
+    to 32, ``r`` one-hot products otherwise.  They are exact integers;
+    :func:`_match_counts` says why.  Besides a few ``(n, n)`` arrays,
+    the working memory is one float32 block of at most ``CHUNK_BYTES``,
+    whatever the number of sites.
     """
     return _agreement(aln, model)
 

@@ -602,17 +602,11 @@ class AssumptionReport:
     """Outcome of the regularity check tying the rate law to the cap M.
 
     ``ok`` is true iff ``phi_inverse(exp(-6g)) <= M``, with M the
-    ``distance_cap`` checked against.  ``mid_scale`` is
-    ``phi_inverse(exp(-5g))``, the scaled distance at which the expected
-    decay meets the clustering mid level ``exp(-5g)``.  It is reported,
-    not used: :class:`~rasphy.clustering.ClusteringThresholds` sets its
-    levels ``exp(-c g)`` directly.  When the check passes it lies in
-    ``[5g, M)``.
+    ``distance_cap`` checked against.
     """
 
     ok: bool
     phi_inv_6g: float
-    mid_scale: float
     distance_cap: float
 
     def __bool__(self):
@@ -628,7 +622,7 @@ class AssumptionReport:
 
 def check_assumption(rates: RateDistribution,
                      params: RegularityParams) -> AssumptionReport:
-    """Check ``phi_inverse(exp(-6g)) <= M`` and report derived constants.
+    """Check ``phi_inverse(exp(-6g)) <= M`` and report the value.
 
     Passing means an evolutionary distance of M under random scaling
     still shows at least as much correlation as an unscaled distance of
@@ -636,10 +630,8 @@ def check_assumption(rates: RateDistribution,
     """
     g = params.max_edge
     value = rates.phi_inverse(math.exp(-6.0 * g))
-    m = rates.phi_inverse(math.exp(-5.0 * g))
     return AssumptionReport(
         ok=bool(value <= params.distance_cap),
         phi_inv_6g=value,
-        mid_scale=m,
         distance_cap=params.distance_cap,
     )

@@ -16,6 +16,7 @@ from rasphy import (Alignment, ClusteringThresholds, EmptyPairSet, PairSet,
                     oracle_sparsify, paths_disjoint, simulate_alignment,
                     sparsify, sparsity_constant,
                     tree_metric)
+from rasphy.clustering import CHUNK_BYTES
 
 
 def thresholds(g=0.2):
@@ -86,6 +87,22 @@ class TestAgreementMatrix:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
+    def test_no_float32_partial_at_large_n(self, jc):
+        # at n=2048 one chunk holds 2048 sites; besides its float32 block
+        # the kernel holds the float64 counts and one float32 product,
+        # 1.5 units of n*n*8 bytes, where a float32 partial would add 0.5
+        n = 2048
+        rng = np.random.default_rng(0)
+        aln = Alignment(rng.integers(0, 4, size=(n, n)).astype(np.uint8),
+                        r=4)
+        tracemalloc.start()
+        try:
+            agreement_matrix(aln, jc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_BYTES + 1.6 * 8 * n * n
+
 
 def _reference_agreement(data, r):
     """The agreement matrix from float64 one-hot products over all sites."""
@@ -113,10 +130,11 @@ def test_counts_equal_float64_one_hot_reference(n, r, k):
 
 
 def test_sign_partial_stays_below_2_24():
-    # r = 16 sums 15 sign products per chunk.  At n=3 the byte bound alone
-    # would allow chunks of 2**24 // 12 = 1 398 101 sites, where the equal
-    # pair (0, 1) sums to 15 * 1 398 101 > 2**24, an odd number float32
-    # cannot hold; the kernel caps a chunk at 2**24 // 15 sites instead
+    # r = 16 takes 15 sign products per chunk.  At n=3 the byte bound
+    # allows chunks of 2**24 // 12 = 1 398 101 sites, where the equal pair
+    # (0, 1) sums to 15 * 1 398 101 > 2**24 over the products, an odd
+    # number float32 cannot hold; each product adds straight into the
+    # float64 total, so no float32 value exceeds the chunk's site count
     k, r = 1_398_101, 16
     rng = np.random.default_rng(3)
     data = rng.integers(0, r, size=(k, 3)).astype(np.uint8)

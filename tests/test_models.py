@@ -194,12 +194,6 @@ class TestCheckAssumption:
             assert not report.ok
             assert report.phi_inv_6g >= 6 * g - 1e-9
 
-    def test_mid_scale_bracket(self):
-        g = 0.2
-        report = check_assumption(RateDistribution.two_speed(0.5, 1.5),
-                                  RegularityParams(0.1, g, 1.5))
-        assert 5 * g <= report.mid_scale < 1.5
-
 
 class TestSimulation:
     def test_pair_agreement_constant_rate(self, cfn):
