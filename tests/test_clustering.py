@@ -89,8 +89,8 @@ class TestAgreementMatrix:
 
     def test_no_float32_partial_at_large_n(self, jc):
         # at n=2048 one chunk holds 2048 sites; besides its float32 block
-        # the kernel holds the float64 counts and one float32 product,
-        # 1.5 units of n*n*8 bytes, where a float32 partial would add 0.5
+        # the kernel may hold only the float64 counts and one float32
+        # product, 1.5 units of n*n*8 bytes
         n = 2048
         rng = np.random.default_rng(0)
         aln = Alignment(rng.integers(0, 4, size=(n, n)).astype(np.uint8),
