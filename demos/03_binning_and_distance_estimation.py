@@ -34,7 +34,7 @@ for line in bp.lines():
 
 assignment = rp.bin_sites(u, bp)
 star = rp.select_abundant(assignment, k=aln.k)
-bin_sites = assignment.bins[star]
+bin_sites = assignment.sites(star)
 print(f"\nabundant bin {star}: {len(bin_sites)} of {aln.k} sites, "
       f"edges {assignment.edges(star)}")
 

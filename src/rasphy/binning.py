@@ -92,25 +92,25 @@ class BinningParams:
 
 @dataclass(frozen=True)
 class BinAssignment:
-    """Partition of site indices into bins 0 .. num_bins.
-
-    ``bins[0]`` holds the out-of-range sites; ``bins[j]`` for j >= 1 the
-    sites whose statistic fell in the j-th half-open interval.  Every
-    site index appears in exactly one bin.
+    """The bin of every site: ``site_bin[i]`` is 0 when the statistic of
+    site ``i`` fell out of range, else the interior bin j >= 1 whose
+    half-open interval holds it.  One int64 label per site, whatever the
+    number of bins; :meth:`sites` lists a bin's sites in ascending order.
     """
 
-    bins: tuple
+    site_bin: np.ndarray
     params: BinningParams
 
     @property
     def in_range(self) -> np.ndarray:
-        if len(self.bins) <= 1:
-            return np.array([], dtype=np.int64)
-        return np.sort(np.concatenate([np.asarray(b, dtype=np.int64)
-                                       for b in self.bins[1:]]))
+        return np.flatnonzero(self.site_bin)
+
+    def sites(self, j: int) -> np.ndarray:
+        """Ascending indices of the sites in bin ``j``."""
+        return np.flatnonzero(self.site_bin == j)
 
     def counts(self) -> np.ndarray:
-        return np.array([len(b) for b in self.bins])
+        return np.bincount(self.site_bin, minlength=self.params.num_bins + 1)
 
     def edges(self, j) -> tuple:
         """Half-open interval ``[lo, hi)`` of interior bin ``j >= 1``, or
@@ -173,11 +173,7 @@ def bin_sites(u_values, bp: BinningParams) -> BinAssignment:
     idx = np.floor((u - lo) / bp.delta_u).astype(np.int64) + 1
     idx = np.clip(idx, 1, bp.num_bins)
     idx[(u < lo) | (u >= hi)] = 0
-    # one stable sort: each bin's sites come out ascending
-    order = np.argsort(idx, kind="stable")
-    sizes = np.bincount(idx, minlength=bp.num_bins + 1)
-    bins = tuple(np.split(order, np.cumsum(sizes)[:-1]))
-    return BinAssignment(bins=bins, params=bp)
+    return BinAssignment(site_bin=idx, params=bp)
 
 
 def select_abundant(ba: BinAssignment, k: int) -> int:

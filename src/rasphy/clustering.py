@@ -231,10 +231,17 @@ def _match_counts(data: np.ndarray, r: int, sites=None) -> np.ndarray:
     return counts
 
 
+def _check_alphabet(aln: Alignment, model: SubstitutionModel):
+    if model.r != aln.r:
+        raise ValueError(f"the model has r={model.r} but the alignment "
+                         f"has r={aln.r}")
+
+
 def _agreement(aln: Alignment, model: SubstitutionModel,
                sites=None) -> np.ndarray:
     """:func:`agreement_matrix` over the site indices ``sites``, or over
     all sites for ``None``."""
+    _check_alphabet(aln, model)
     k = aln.k if sites is None else len(sites)
     # in place on the counts: (counts / k - q_inf) / p_inf, bit for bit
     q = _match_counts(aln.data, aln.r, sites)
@@ -389,6 +396,7 @@ def certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
 def all_site_statistics(aln: Alignment, pairs: PairSet,
                         model: SubstitutionModel) -> np.ndarray:
     """Vector of the clustering statistic for every site."""
+    _check_alphabet(aln, model)
     if len(pairs) == 0:
         raise EmptyPairSet("pair set is empty")
     data = aln.data
@@ -436,6 +444,7 @@ def full_sum_statistics(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
     equals ``sum over pairs of sigma_a * sigma_b`` for the +/-1 site
     encoding.
     """
+    _check_alphabet(aln, model)
     data = aln.data
     n = aln.n
     agree = np.zeros(aln.k)

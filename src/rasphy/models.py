@@ -326,6 +326,9 @@ class Alignment:
         data = np.asarray(self.data)
         if data.ndim != 2:
             raise ValueError("alignment data must be 2-d (sites x leaves)")
+        if not np.issubdtype(data.dtype, np.integer):
+            raise ValueError(f"alignment states must be integers, "
+                             f"not {data.dtype}")
         if data.size and (data.min() < 0 or data.max() >= self.r):
             raise ValueError("alignment states must lie in [0, r)")
         object.__setattr__(self, "data", data)

@@ -115,7 +115,7 @@ class PipelineReport:
         """Number of sites in the abundant bin."""
         if self.abundant_bin is None:
             return None
-        return len(self.assignment.bins[self.abundant_bin])
+        return int(self.assignment.counts()[self.abundant_bin])
 
     def raise_if_failed(self):
         if self.error is not None:
@@ -160,10 +160,11 @@ _STAGES = (
      lambda s: _binning.select_abundant(s["bin_sites"], s["aln"].k),
      "increase k",
      lambda s: {"abundant_bin": s["select_abundant"],
-                "bin_size": len(s["bin_sites"].bins[s["select_abundant"]])}),
+                "bin_size":
+                    int(s["bin_sites"].counts()[s["select_abundant"]])}),
     ("bin_agreement", None,
      lambda s: _distances.bin_agreement(
-         s["aln"], s["bin_sites"].bins[s["select_abundant"]], s["model"]),
+         s["aln"], s["bin_sites"].sites(s["select_abundant"]), s["model"]),
      None, None),
     ("distorted_metric", "dhat",
      lambda s: _distances.distorted_metric(s.pop("bin_agreement")),
@@ -249,7 +250,7 @@ def _oracle_diagnostics(report: PipelineReport, aln: Alignment,
         report.pair_set, truth, cfg.reg, dist=dist)
     if (report.dhat is not None and aln.hidden_lambdas is not None
             and report.abundant_bin is not None):
-        bin_idx = report.assignment.bins[report.abundant_bin]
+        bin_idx = report.assignment.sites(report.abundant_bin)
         lam_star = float(aln.hidden_lambdas[bin_idx].mean())
         tau = lam_star * cfg.reg.min_edge / 5.0
         psi = float(5.0 * lam_star * cfg.reg.max_edge * np.log(aln.n))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,12 +60,12 @@ class TestBinSites:
     def test_out_of_bounds_to_bin_zero(self):
         bp = derive_params(REG, n=64)
         ba = bin_sites([bp.u_lo - 2 * bp.delta_u, bp.u_hi + bp.delta_u], bp)
-        assert list(ba.bins[0]) == [0, 1]
+        assert list(ba.sites(0)) == [0, 1]
 
     def test_left_edge_closed(self):
         bp = derive_params(REG, n=64)
         ba = bin_sites([bp.u_lo - bp.delta_u], bp)
-        assert list(ba.bins[1]) == [0]
+        assert list(ba.sites(1)) == [0]
 
     def test_histogram_oracle(self):
         bp = derive_params(REG, n=64)
@@ -84,8 +85,8 @@ class TestBinSites:
     def test_partition_property(self, values, n):
         bp = derive_params(REG, n=n)
         ba = bin_sites(values, bp)
-        together = np.concatenate([np.asarray(b, dtype=np.int64)
-                                   for b in ba.bins])
+        together = np.concatenate([ba.sites(j)
+                                   for j in range(bp.num_bins + 1)])
         assert sorted(together.tolist()) == list(range(len(values)))
 
     def test_same_bins_as_one_pass_per_bin(self):
@@ -114,7 +115,8 @@ class TestBinSites:
                 rng.uniform(edges[-3], edges[-1], size)])
             rng.shuffle(u)
             want = oracle(u, bp)
-            got = bin_sites(u, bp).bins
+            ba = bin_sites(u, bp)
+            got = tuple(ba.sites(j) for j in range(bp.num_bins + 1))
             assert len(got) == len(want)
             assert any(len(b) == 0 for b in want)
             for g, w in zip(got, want):
@@ -126,6 +128,25 @@ class TestBinSites:
         with pytest.raises(ValueError, match="finite"):
             bin_sites([0.5, np.nan], bp)
 
+    def test_memory_linear_in_sites_and_bins(self):
+        # at (f, g, M) = (0.1, 0.5, 4.5) and n=32 the bins are 70 894
+        # narrow ones: a label per site plus one count per bin fit in
+        # four int64 arrays of k and one of num_bins + 1, where an index
+        # array per bin takes over ten times that
+        bp = derive_params(RegularityParams(0.1, 0.5, 4.5), n=32)
+        assert bp.num_bins == 70_894
+        k = 20_000
+        u = np.random.default_rng(11).uniform(
+            bp.u_lo - 2 * bp.delta_u, bp.u_hi + 2 * bp.delta_u, size=k)
+        tracemalloc.start()
+        try:
+            counts = bin_sites(u, bp).counts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == k
+        assert peak <= 4 * 8 * k + 8 * (bp.num_bins + 1)
+
 
 class TestSelectAbundant:
     def test_single_loaded_bin_selected(self):
@@ -133,7 +154,7 @@ class TestSelectAbundant:
         mid = bp.u_lo + (bp.u_hi - bp.u_lo) / 2
         ba = bin_sites(np.full(1000, mid), bp)
         j = select_abundant(ba, k=1000)
-        assert len(ba.bins[j]) == 1000
+        assert len(ba.sites(j)) == 1000
 
     def test_all_out_of_range_fails(self):
         bp = derive_params(REG, n=64)
@@ -195,7 +216,7 @@ class TestOracleModeProperties:
                 ba = bin_sites(u, bp)
                 worst = 0.0
                 for j in range(1, bp.num_bins + 1):
-                    idx = ba.bins[j]
+                    idx = ba.sites(j)
                     if len(idx) >= 2:
                         lam = aln.hidden_lambdas[idx]
                         worst = max(worst, float(lam.max() - lam.min()))

@@ -8,7 +8,8 @@ import pytest
 
 from rasphy import (Alignment, ClusteringThresholds, EmptyPairSet, PairSet,
                     RateDistribution, RegularityParams, SubstitutionModel,
-                    agreement_matrix, all_site_statistics, certify_sparsity,
+                    agreement_matrix, all_site_statistics, bin_agreement,
+                    certify_sparsity,
                     close_pairs,
                     expected_statistic_curve, full_sum_statistics,
                     generate_complete_binary,
@@ -505,3 +506,19 @@ class TestPairSetValidation:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             PairSet(((1, 2), (2, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda aln, model: agreement_matrix(aln, model),
+    lambda aln, model: bin_agreement(aln, [0, 2], model),
+    lambda aln, model: all_site_statistics(aln, PairSet(((0, 1),)), model),
+    lambda aln, model: full_sum_statistics(aln, model),
+], ids=["agreement_matrix", "bin_agreement", "all_site_statistics",
+        "full_sum_statistics"])
+def test_model_alphabet_must_match_alignment(call):
+    # row 0 of the r=4 agreement is [1, 0.556, -0.333]; normalised by the
+    # q_inf of r=2 it would read [1, 0.333, -1]
+    data = np.array([[0, 0, 3], [1, 2, 3], [2, 2, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError) as exc:
+        call(Alignment(data, r=4), SubstitutionModel.uniform(2))
+    assert str(exc.value) == "the model has r=2 but the alignment has r=4"

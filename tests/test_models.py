@@ -612,6 +612,14 @@ class TestAlignment:
         with pytest.raises(ValueError, match="states"):
             Alignment(np.array([[0, 3]]), r=2)
 
+    @pytest.mark.parametrize("state", [0.5, np.nan], ids=["half", "nan"])
+    def test_non_integer_states_rejected(self, state):
+        data = np.array([[state, 1.0, 0.0]] * 10)
+        with pytest.raises(ValueError) as exc:
+            Alignment(data, r=3)
+        assert str(exc.value) == ("alignment states must be integers, "
+                                  "not float64")
+
     def test_sidecar_length_validated(self):
         with pytest.raises(ValueError, match="per site"):
             Alignment(np.zeros((3, 2), dtype=np.uint8), r=2,
