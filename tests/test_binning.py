@@ -129,10 +129,9 @@ class TestBinSites:
             bin_sites([0.5, np.nan], bp)
 
     def test_memory_linear_in_sites_and_bins(self):
-        # at (f, g, M) = (0.1, 0.5, 4.5) and n=32 the bins are 70 894
-        # narrow ones: a label per site plus one count per bin fit in
-        # four int64 arrays of k and one of num_bins + 1, where an index
-        # array per bin takes over ten times that
+        # at (f, g, M) = (0.1, 0.5, 4.5) and n=32 there are 70 894 narrow
+        # bins, most of them empty: the working memory may grow with the
+        # sites and by one count per bin, but not by an array per bin
         bp = derive_params(RegularityParams(0.1, 0.5, 4.5), n=32)
         assert bp.num_bins == 70_894
         k = 20_000

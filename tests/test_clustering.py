@@ -509,10 +509,10 @@ class TestPairSetValidation:
 
 
 @pytest.mark.parametrize("call", [
-    lambda aln, model: agreement_matrix(aln, model),
+    agreement_matrix,
     lambda aln, model: bin_agreement(aln, [0, 2], model),
     lambda aln, model: all_site_statistics(aln, PairSet(((0, 1),)), model),
-    lambda aln, model: full_sum_statistics(aln, model),
+    full_sum_statistics,
 ], ids=["agreement_matrix", "bin_agreement", "all_site_statistics",
         "full_sum_statistics"])
 def test_model_alphabet_must_match_alignment(call):

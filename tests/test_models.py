@@ -612,14 +612,6 @@ class TestAlignment:
         with pytest.raises(ValueError, match="states"):
             Alignment(np.array([[0, 3]]), r=2)
 
-    @pytest.mark.parametrize("state", [0.5, np.nan], ids=["half", "nan"])
-    def test_non_integer_states_rejected(self, state):
-        data = np.array([[state, 1.0, 0.0]] * 10)
-        with pytest.raises(ValueError) as exc:
-            Alignment(data, r=3)
-        assert str(exc.value) == ("alignment states must be integers, "
-                                  "not float64")
-
     def test_sidecar_length_validated(self):
         with pytest.raises(ValueError, match="per site"):
             Alignment(np.zeros((3, 2), dtype=np.uint8), r=2,
@@ -647,8 +639,13 @@ _QUARTET = "((a:1,b:1):1,(c:1,d:1):1);"
      "k must be at least 1"),
     (lambda: Alignment(np.zeros(3, dtype=np.uint8), r=2),
      "alignment data must be 2-d (sites x leaves)"),
+    (lambda: Alignment(np.array([[0.5, 1.0, 0.0]] * 10), r=3),
+     "alignment states must be integers, not float64"),
+    (lambda: Alignment(np.array([[np.nan, 1.0, 0.0]] * 10), r=3),
+     "alignment states must be integers, not float64"),
 ], ids=["r-1", "pi-length", "support-probs-length", "kind-weibull",
-        "zero-mean", "curve-never-reaches", "k-0", "data-1d"])
+        "zero-mean", "curve-never-reaches", "k-0", "data-1d", "data-half",
+        "data-nan"])
 def test_rejections(build, message):
     with pytest.raises(ValueError) as exc:
         build()
