@@ -173,6 +173,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# Every file _cmd_pipeline can write into --out-dir.  A run removes them
+# first, so that no output of an earlier run survives beside its own.
+_PIPELINE_FILES = ("config.txt", "u_values.csv", "pairs.txt", "params.txt",
+                   "bins.csv", "distances.txt", "reconstructed.nwk",
+                   "report.txt")
+
+
 def _cmd_pipeline(args) -> int:
     aln = _io.read_alignment(args.alignment)
     reg = RegularityParams(args.f, args.g, args.big_m)
@@ -184,6 +191,8 @@ def _cmd_pipeline(args) -> int:
     truth = _io.read_tree(args.truth) if args.truth else None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _PIPELINE_FILES:
+        (out / name).unlink(missing_ok=True)
     _echo_config(out, args)
     report = run_pipeline(
         aln, cfg, truth=truth,

@@ -305,7 +305,12 @@ def sparsify(candidates: PairSet, q: np.ndarray,
 def _greedy_thin(pairs, closeness: np.ndarray, level: float) -> tuple:
     """Pick pairs in descending ``closeness`` (ties lexicographic); after
     each pick drop every pair with a leaf whose closeness to either
-    picked leaf reaches ``level``."""
+    picked leaf reaches ``level``.
+
+    ``closeness`` must be symmetric, as both callers' matrices are (the
+    agreement matrix and the negated tree metric): the crowding test reads
+    the picked leaves' rows, which are contiguous, in place of their
+    columns."""
     pa, pb = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
     order = np.lexsort((pb, pa, -closeness[pa, pb]))
     crowded = np.zeros(len(closeness), dtype=bool)  # "not below": NaN crowds
@@ -313,7 +318,7 @@ def _greedy_thin(pairs, closeness: np.ndarray, level: float) -> tuple:
     for a, b in zip(pa[order].tolist(), pb[order].tolist()):
         if not (crowded[a] or crowded[b]):
             kept.append((a, b))
-            crowded |= ~(closeness[:, a] < level) | ~(closeness[:, b] < level)
+            crowded |= ~(closeness[a] < level) | ~(closeness[b] < level)
     return tuple(kept)
 
 
@@ -402,7 +407,10 @@ def all_site_statistics(aln: Alignment, pairs: PairSet,
     data = aln.data
     pa = np.fromiter((a for a, _ in pairs), dtype=np.int64, count=len(pairs))
     pb = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
-    agree = (data[:, pa] == data[:, pb]).mean(axis=1)
+    # np.take's gather along axis 1 is several times faster than fancy
+    # indexing of the site-major array, with the same result
+    agree = (np.take(data, pa, axis=1)
+             == np.take(data, pb, axis=1)).mean(axis=1)
     return (agree - model.q_inf) / model.p_inf
 
 

@@ -417,6 +417,14 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     3. one fresh double ``u`` per vertex id: the vertex's redrawn state is
        the number of partial sums ``pi_0, pi_0 + pi_1, ...`` (the first
        ``r - 1``) that are ``<= u``; the root always takes this state.
+
+    How the streams are drawn does not change this layout.  Under the
+    constant and discrete laws, a site that reads at most
+    ``_BATCH_WORDS`` (31) doubles, as on a binary tree of up to 8
+    leaves, has its doubles computed in one batched numpy pass over many
+    sites (:func:`_philox_doubles`).  Gamma and lognormal rates take a
+    variable number of words, so those laws, and wider sites, reset one
+    ``Generator`` per site.  Both paths give the same bytes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -492,17 +500,20 @@ def _simulate_sites(p: Phylogeny, model: SubstitutionModel,
     continuous = rates.kind in ("gamma", "lognormal")
     width = lead + 2 * n_vertices
     fresh_at = lead + n_vertices
+    batched = not continuous and width <= _BATCH_WORDS
 
-    # One bit generator for the call.  Each site resets it to the start
-    # state of a fresh Philox(key=[seed, site]), taken from the constructor
-    # so the key is converted as it converts it; lists set faster.
-    bits = np.random.Philox(key=[seed, 0])
-    rng = np.random.Generator(bits)
-    state = bits.state
-    state["state"] = {name: words.tolist()
-                      for name, words in state["state"].items()}
-    state["buffer"] = state["buffer"].tolist()
-    key = state["state"]["key"]
+    if not batched:
+        # One bit generator for the call.  Each site resets it to the
+        # start state of a fresh Philox(key=[seed, site]), taken from the
+        # constructor so the key is converted as it converts it; lists
+        # set faster.
+        bits = np.random.Philox(key=[seed, 0])
+        rng = np.random.Generator(bits)
+        state = bits.state
+        state["state"] = {name: words.tolist()
+                          for name, words in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        key = state["state"]["key"]
 
     # Sites are drawn into a cache-sized tile, one row of doubles per site,
     # and reduced there to keep flags and fresh states.  Those go into a
@@ -520,12 +531,15 @@ def _simulate_sites(p: Phylogeny, model: SubstitutionModel,
         for t0 in range(0, stop - start, len(tile)):
             t1 = min(stop - start, t0 + len(tile))
             rows = tile[:t1 - t0]
-            for j, row in enumerate(rows, start + t0):
-                key[1] = j
-                bits.state = state
-                if continuous:
-                    lam[j - start] = rates.sample(rng)
-                rng.random(out=row)
+            if batched:
+                _philox_doubles(seed, start + t0, rows)
+            else:
+                for j, row in enumerate(rows, start + t0):
+                    key[1] = j
+                    bits.state = state
+                    if continuous:
+                        lam[j - start] = rates.sample(rng)
+                    rng.random(out=row)
             if lead:
                 lam[t0:t1] = rates._atoms_at(rows[:, 0])
             thresh = np.exp(np.multiply.outer(-lam[t0:t1], weight))
@@ -546,6 +560,77 @@ def _simulate_sites(p: Phylogeny, model: SubstitutionModel,
             diff *= keep[child]
             states[child] += diff
         data[start:stop] = states[:n].T
+
+
+# Philox4x64-10 as numpy's Philox runs it (Salmon et al., "Parallel random
+# numbers: as easy as 1, 2, 3", SC 2011): the round multipliers and the
+# key increments (Weyl constants).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Sites whose doubles _simulate_sites draws with _philox_doubles: those of
+# the constant and discrete laws that read at most this many doubles.  It
+# sits at the measured crossover: on a 2-vCPU VM with one worker, the
+# batched and the per-site draw took 1.76 and 1.84 us a site at 29 doubles
+# (n=8, discrete law), 1.95 and 1.83 us at 33 (n=9).
+_BATCH_WORDS = 31
+# Sites per pass of _philox_doubles, so that its temporaries stay in cache
+_BATCH_SITES = 2048
+
+
+def _mulhilo(x: np.ndarray, m: int):
+    """The low and high 64-bit words of ``x * m``, for uint64 ``x`` and
+    a 64-bit constant ``m``.  numpy has no 128-bit product, so the high
+    word is summed from the four 32 x 32-bit partial products, in sums
+    that cannot wrap."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo = x & _LO32
+    x_hi = x >> _SHIFT32
+    mid = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    mid2 = x_lo * m_hi + (mid & _LO32)
+    return (x * np.uint64(m),
+            x_hi * m_hi + (mid >> _SHIFT32) + (mid2 >> _SHIFT32))
+
+
+def _philox_doubles(seed: int, first_site: int, out: np.ndarray) -> None:
+    """Fill row ``i`` of the float64 array ``out`` with the first
+    ``out.shape[1]`` doubles of ``Generator(Philox(key=[seed, first_site
+    + i])).random``, for all rows at once.
+
+    A fresh Philox has counter 0 and an empty buffer, so its block ``j``
+    of four words is Philox4x64-10 of counter ``[j + 1, 0, 0, 0]`` under
+    key ``[seed, site]``, and its ``m``-th double is ``(word_m >> 11) *
+    2**-53``.  Every (site, block) pair is computed at once in wrapping
+    uint64 arithmetic.  The state words start as broadcastable shapes, so
+    the first rounds run on the counter or the key alone.  All constants
+    are numpy scalars, so the arithmetic stays uint64 under both the old
+    value-based promotion and NEP 50's.
+    """
+    # the first key word as Philox converts the seed, whatever its type
+    seed = int(np.random.Philox(key=[seed, 0]).state["state"]["key"][0])
+    sites, width = out.shape
+    blocks = -(-width // 4)
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    counter = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    words = np.empty((min(sites, _BATCH_SITES), blocks, 4), dtype=np.uint64)
+    for s0 in range(0, sites, _BATCH_SITES):
+        s1 = min(sites, s0 + _BATCH_SITES)
+        site = np.arange(first_site + s0, first_site + s1,
+                         dtype=np.uint64)[:, None]
+        x = (counter, zero, zero, zero)
+        for r in range(10):
+            # the key after r increments, mod 2**64
+            k0 = np.uint64((seed + r * _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF)
+            k1 = site + np.uint64(r * _PHILOX_W[1] & 0xFFFFFFFFFFFFFFFF)
+            lo0, hi0 = _mulhilo(x[0], _PHILOX_M[0])
+            lo1, hi1 = _mulhilo(x[2], _PHILOX_M[1])
+            x = (hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0)
+        block = words[:s1 - s0]
+        for lane in range(4):
+            block[:, :, lane] = x[lane]
+        np.multiply(block.reshape(s1 - s0, 4 * blocks)[:, :width]
+                    >> np.uint64(11), 2.0 ** -53, out=out[s0:s1])
 
 
 # ---------------------------------------------------------------------------

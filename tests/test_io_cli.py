@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rasphy import (Alignment, BinningParams, RateDistribution,
                     RegularityParams, generate_random_regular,
                     simulate_alignment)
+from rasphy import cli
 from rasphy import io as rio
 from rasphy.cli import main
 from rasphy.distances import MIN_POSITIVE_DISTANCE
@@ -659,6 +660,44 @@ class TestPipelineCommand:
         assert "distance_cap < inf, got f=0.1, g=0.2, M=inf" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("second", ["failing", "stats-only"])
+    def test_rerun_leaves_only_its_own_files(self, tmp_path, capsys, second):
+        def simulate(k):
+            sim = tmp_path / f"sim{k}"
+            assert run_cli([
+                "simulate", "--n", "16", "--f", "0.1", "--g", "0.2",
+                "--big-m", "1.5", "--rates", "constant", "--k", str(k),
+                "--seed", "3", "--out-dir", str(sim)]) == 0
+            return sim
+
+        def pipeline(out, sim, *extra):
+            return run_cli([
+                "pipeline", "--alignment", str(sim / "alignment.txt"),
+                "--f", "0.1", "--g", "0.2", "--big-m", "1.5",
+                "--truth", str(sim / "tree.nwk"), *extra,
+                "--out-dir", str(out)])
+
+        good = simulate(5000)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("not the pipeline's\n")
+        assert pipeline(out, good) == 0
+        assert "rf=0" in capsys.readouterr().out
+        # a full run writes every file of the list
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(cli._PIPELINE_FILES + ("notes.txt",))
+        if second == "failing":
+            sim, extra, code = simulate(30), (), 2
+        else:
+            sim, extra, code = good, ("--stats-only",), 0
+        assert pipeline(out, sim, *extra) == code
+        alone = tmp_path / "alone"
+        assert pipeline(alone, sim, *extra) == code
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted([p.name for p in alone.iterdir()] + ["notes.txt"])
+        assert not (out / "reconstructed.nwk").exists()
+        assert (out / "notes.txt").read_text() == "not the pipeline's\n"
 
     @pytest.mark.parametrize("extra", [[], ["--stats-only"]])
     def test_stage_failure_is_reported(self, tmp_path, capsys, extra):

@@ -5,6 +5,7 @@ import math
 import os
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -513,6 +514,81 @@ class TestSimulationWorkers:
         monkeypatch.setattr(models, "_MIN_SHARE", 1)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         simulate_alignment(five_leaf, jc, two_speed, 10, seed=0)
+
+
+class TestBatchedPhilox:
+    """The batched draw of small trees' per-site streams, against the
+    per-site ``Generator`` it replaces."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 + 7, 2 ** 63 - 1])
+    @pytest.mark.parametrize("first_site", [0, 2 ** 32 - 3, 2 ** 40])
+    def test_doubles_match_generator_random(self, monkeypatch, seed,
+                                            first_site):
+        # five sites in passes of two, so the last pass is short; widths
+        # 1..64 cover every residue of a four-word block
+        monkeypatch.setattr(models, "_BATCH_SITES", 2)
+        for width in range(1, 65):
+            got = np.empty((5, width))
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                models._philox_doubles(seed, first_site, got)
+            for i, row in enumerate(got):
+                rng = np.random.Generator(
+                    np.random.Philox(key=[seed, first_site + i]))
+                assert np.array_equal(row, rng.random(width)), (width, i)
+
+    @pytest.mark.parametrize("law", ["constant", "two_speed", "three_point"])
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_paths_give_identical_bytes(self, monkeypatch, law, n):
+        # 9000 sites cross a tile (7710 sites at n=5, 4369 at n=8) and
+        # several passes of the batched draw
+        tree = generate_random_regular(n, RegularityParams(0.1, 0.2, 1.5),
+                                       seed=4)
+        model = SubstitutionModel(4, pi=(0.1, 0.2, 0.3, 0.4))
+        calls = []
+        real = models._philox_doubles
+
+        def counted(*args):
+            calls.append(1)
+            real(*args)
+
+        monkeypatch.setattr(models, "_philox_doubles", counted)
+        outs = {}
+        for workers in (1, 2):
+            TestSimulationWorkers.force_workers(monkeypatch, workers)
+            for batch_words in (0, 64):
+                monkeypatch.setattr(models, "_BATCH_WORDS", batch_words)
+                calls.clear()
+                aln = simulate_alignment(tree, model, GOLDEN_LAWS[law],
+                                         9000, seed=31)
+                # the calling process takes the batched path exactly when
+                # the site's 29 or fewer doubles fit
+                assert bool(calls) == (batch_words > 0)
+                outs[workers, batch_words] = (aln.data.tobytes(),
+                                              aln.hidden_lambdas.tobytes())
+        assert len(set(outs.values())) == 1
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
+    def test_numpy_integer_seed(self, five_leaf, jc, two_speed, seed):
+        # the batched path takes the key word as Philox converts the seed
+        aln = simulate_alignment(five_leaf, jc, two_speed, 10, seed=seed)
+        lam, leaves = _reference_site(five_leaf, jc, two_speed, 5, 9)
+        assert aln.hidden_lambdas[9] == lam
+        assert np.array_equal(aln.data[9], leaves)
+
+    @pytest.mark.parametrize("law", ["gamma4", "lognormal"])
+    def test_continuous_laws_keep_per_site_path(self, monkeypatch, five_leaf,
+                                                jc, law):
+        def refuse(*args):
+            raise AssertionError("batched draw for a continuous law")
+
+        monkeypatch.setattr(models, "_BATCH_WORDS", 10 ** 6)
+        monkeypatch.setattr(models, "_philox_doubles", refuse)
+        rates = GOLDEN_LAWS[law]
+        aln = simulate_alignment(five_leaf, jc, rates, 50, seed=2)
+        lam, leaves = _reference_site(five_leaf, jc, rates, 2, 49)
+        assert aln.hidden_lambdas[49] == lam
+        assert np.array_equal(aln.data[49], leaves)
 
 
 class TestExactLeafDistribution:
