@@ -101,10 +101,6 @@ class BinAssignment:
     site_bin: np.ndarray
     params: BinningParams
 
-    @property
-    def in_range(self) -> np.ndarray:
-        return np.flatnonzero(self.site_bin)
-
     def sites(self, j: int) -> np.ndarray:
         """Ascending indices of the sites in bin ``j``."""
         return np.flatnonzero(self.site_bin == j)

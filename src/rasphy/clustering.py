@@ -62,32 +62,21 @@ class ClusteringThresholds:
 
     ``close_level = exp(-4.5 g)``   admit a pair as "close"
     ``prune_level = exp(-5.5 g)``   treat two leaves as crowding
-    ``mid_level   = exp(-5 g)``     the target correlation scale
-    ``safety_gap``                  smallest of the four consecutive
-                                    gaps between ``exp(-4g) ..
-                                    exp(-6g)``; estimation errors below
-                                    it cannot cross any threshold.
     """
 
     close_level: float
     prune_level: float
-    mid_level: float
-    safety_gap: float
 
     @classmethod
     def for_max_edge(cls, g: float) -> "ClusteringThresholds":
         if g <= 0.0:
             raise ValueError("max edge weight must be positive")
-        levels = [math.exp(-c * g) for c in (4.0, 4.5, 5.0, 5.5, 6.0)]
-        gap = min(levels[i] - levels[i + 1] for i in range(4))
-        return cls(close_level=levels[1], prune_level=levels[3],
-                   mid_level=levels[2], safety_gap=gap)
+        return cls(close_level=math.exp(-4.5 * g),
+                   prune_level=math.exp(-5.5 * g))
 
     def __post_init__(self):
-        if not (self.prune_level < self.mid_level < self.close_level):
-            raise ValueError("thresholds must be ordered prune < mid < close")
-        if self.safety_gap <= 0.0:
-            raise ValueError("safety gap must be positive")
+        if not (self.prune_level < self.close_level):
+            raise ValueError("thresholds must be ordered prune < close")
 
 
 @dataclass(frozen=True)
@@ -109,6 +98,12 @@ class PairSet:
 
     def __iter__(self):
         return iter(self.pairs)
+
+
+def _pair_index(pairs: PairSet) -> tuple:
+    """The pairs' first and second leaves, as two intp arrays."""
+    index = np.array(pairs.pairs, dtype=np.intp).reshape(-1, 2)
+    return index[:, 0], index[:, 1]
 
 
 @dataclass(frozen=True)
@@ -298,20 +293,20 @@ def sparsify(candidates: PairSet, q: np.ndarray,
     """
     if len(candidates) == 0:
         raise EmptyPairSet("candidate pair set is empty")
-    kept = _greedy_thin(candidates, q, t.prune_level)
-    return PairSet(kept)
+    pa, pb = _pair_index(candidates)
+    return PairSet(_greedy_thin(pa, pb, q, t.prune_level))
 
 
-def _greedy_thin(pairs, closeness: np.ndarray, level: float) -> tuple:
-    """Pick pairs in descending ``closeness`` (ties lexicographic); after
-    each pick drop every pair with a leaf whose closeness to either
-    picked leaf reaches ``level``.
+def _greedy_thin(pa: np.ndarray, pb: np.ndarray, closeness: np.ndarray,
+                 level: float) -> tuple:
+    """Pick the pairs ``(pa[i], pb[i])`` in descending ``closeness`` (ties
+    lexicographic); after each pick drop every pair with a leaf whose
+    closeness to either picked leaf reaches ``level``.
 
     ``closeness`` must be symmetric, as both callers' matrices are (the
     agreement matrix and the negated tree metric): the crowding test reads
     the picked leaves' rows, which are contiguous, in place of their
     columns."""
-    pa, pb = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
     order = np.lexsort((pb, pa, -closeness[pa, pb]))
     crowded = np.zeros(len(closeness), dtype=bool)  # "not below": NaN crowds
     kept = []
@@ -340,10 +335,9 @@ def oracle_sparsify(p: Phylogeny, params: RegularityParams,
     dist = tree_metric(p)
     a_idx, b_idx = np.triu_indices(p.n_leaves, k=1)
     within = dist[a_idx, b_idx] <= m
-    pairs = zip(a_idx[within].tolist(), b_idx[within].tolist())
     # nearest first, and "within m" crowds: on negated distances this
     # is the thinning of ``sparsify``, exactly, as negation is exact
-    return PairSet(_greedy_thin(pairs, -dist, -m))
+    return PairSet(_greedy_thin(a_idx[within], b_idx[within], -dist, -m))
 
 
 def certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
@@ -373,7 +367,7 @@ def certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
 
     size_ok = len(pairs) >= gamma_s * n
     dmin, dmax = 2.0 * params.min_edge, params.distance_cap
-    dvals = [dist[a, b] for a, b in pairs]
+    dvals = dist[_pair_index(pairs)]
     distance_ok = all(dmin <= d <= dmax for d in dvals)
     detail = ""
     if clash:
@@ -405,8 +399,7 @@ def all_site_statistics(aln: Alignment, pairs: PairSet,
     if len(pairs) == 0:
         raise EmptyPairSet("pair set is empty")
     data = aln.data
-    pa = np.fromiter((a for a, _ in pairs), dtype=np.int64, count=len(pairs))
-    pb = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
+    pa, pb = _pair_index(pairs)
     # np.take's gather along axis 1 is several times faster than fancy
     # indexing of the site-major array, with the same result
     agree = (np.take(data, pa, axis=1)
@@ -414,14 +407,18 @@ def all_site_statistics(aln: Alignment, pairs: PairSet,
     return (agree - model.q_inf) / model.p_inf
 
 
+def _pair_distances(p: Phylogeny, pairs: PairSet) -> np.ndarray:
+    """The true distance of every pair, in the pair set's order."""
+    if len(pairs) == 0:
+        raise EmptyPairSet("pair set is empty")
+    return tree_metric(p)[_pair_index(pairs)]
+
+
 def expected_statistic_curve(p: Phylogeny, pairs: PairSet, lambda_grid):
     """Exact conditional-mean curve ``lam -> mean over pairs of
     exp(-lam * d(a, b))`` (strictly decreasing).  Oracle diagnostic; uses
     the true metric."""
-    if len(pairs) == 0:
-        raise EmptyPairSet("pair set is empty")
-    dist = tree_metric(p)
-    dvals = np.array([dist[a, b] for a, b in pairs])
+    dvals = _pair_distances(p, pairs)
     return [(float(lam), float(np.exp(-lam * dvals).mean()))
             for lam in lambda_grid]
 
@@ -436,10 +433,7 @@ def invert_statistic_curve(p: Phylogeny, pairs: PairSet,
     statistic bin's midpoint corresponds to.  ``u_value`` must lie in
     (0, 1].
     """
-    if len(pairs) == 0:
-        raise EmptyPairSet("pair set is empty")
-    dist = tree_metric(p)
-    dvals = np.array([dist[a, b] for a, b in pairs])
+    dvals = _pair_distances(p, pairs)
     return invert_decreasing(lambda lam: float(np.exp(-lam * dvals).mean()),
                              u_value)
 

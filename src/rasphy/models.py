@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 import os
 import signal
 import sys
@@ -369,8 +370,8 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     site: draw the scaling factor, draw the root state from ``pi``, then
     walk the tree copying each parent state with probability
     ``exp(-lam * mu_e)`` and redrawing from ``pi`` otherwise.  ``seed``
-    must be below ``2**63``, and ``model.r`` at most 256, since states
-    are stored as ``uint8``.
+    must be an integer in ``[0, 2**63)``, and ``model.r`` at most 256,
+    since states are stored as ``uint8``.
 
     The sites are split into ``W`` contiguous ranges, one per worker.
     ``W`` is the number of CPUs this process may run on
@@ -428,10 +429,15 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if seed >= 2 ** 63:
-        # Philox turns a key list holding such a seed into float64, which
-        # rounds it: seeds from 2**63 up would share streams
-        raise ValueError(f"seed must be below 2**63, got {seed}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        pass  # not an integer: refused below
+    # Philox would truncate a float key, wrap a negative one and round one
+    # from 2**63 up through float64, each onto another seed's streams
+    if not (isinstance(seed, int) and 0 <= seed < 2 ** 63):
+        raise ValueError(f"seed must be an integer in [0, 2**63), "
+                         f"got {seed!r}")
     if model.r > 256:
         raise ValueError("states are stored as uint8, so r must be at "
                          f"most 256, got {model.r}")
@@ -605,10 +611,9 @@ def _philox_doubles(seed: int, first_site: int, out: np.ndarray) -> None:
     uint64 arithmetic.  The state words start as broadcastable shapes, so
     the first rounds run on the counter or the key alone.  All constants
     are numpy scalars, so the arithmetic stays uint64 under both the old
-    value-based promotion and NEP 50's.
+    value-based promotion and NEP 50's.  ``seed`` is a Python int in
+    ``[0, 2**63)``, the key's first word.
     """
-    # the first key word as Philox converts the seed, whatever its type
-    seed = int(np.random.Philox(key=[seed, 0]).state["state"]["key"][0])
     sites, width = out.shape
     blocks = -(-width // 4)
     zero = np.zeros((1, 1), dtype=np.uint64)

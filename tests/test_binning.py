@@ -193,7 +193,7 @@ class TestOracleModeProperties:
             reg, aln, u = self._instance(seed)
             bp = derive_params(reg, aln.n)
             ba = bin_sites(u, bp)
-            idx = ba.in_range
+            idx = np.flatnonzero(ba.site_bin)
             total += len(idx)
             lam = aln.hidden_lambdas[idx]
             lo = reg.min_edge * reg.max_edge / reg.distance_cap ** 2

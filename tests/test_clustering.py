@@ -29,18 +29,21 @@ class TestThresholds:
         t = thresholds(0.2)
         assert t.close_level == pytest.approx(math.exp(-0.9))
         assert t.prune_level == pytest.approx(math.exp(-1.1))
-        assert t.mid_level == pytest.approx(math.exp(-1.0))
-        gaps = [math.exp(-0.8) - math.exp(-0.9),
-                math.exp(-0.9) - math.exp(-1.0),
-                math.exp(-1.0) - math.exp(-1.1),
-                math.exp(-1.1) - math.exp(-1.2)]
-        assert t.safety_gap == pytest.approx(min(gaps))
-        assert t.prune_level < t.mid_level < t.close_level
+        assert t.prune_level < t.close_level
 
     def test_nonpositive_max_edge_rejected(self):
         with pytest.raises(ValueError) as exc:
             ClusteringThresholds.for_max_edge(0.0)
         assert str(exc.value) == "max edge weight must be positive"
+
+    @pytest.mark.parametrize("close_level, prune_level", [
+        (0.3, 0.5), (0.5, 0.5), (math.nan, 0.5)])
+    def test_unordered_levels_rejected(self, close_level, prune_level):
+        # a directly built object comes from outside the program
+        with pytest.raises(ValueError) as exc:
+            ClusteringThresholds(close_level=close_level,
+                                 prune_level=prune_level)
+        assert str(exc.value) == "thresholds must be ordered prune < close"
 
 
 class TestAgreementMatrix:
@@ -208,7 +211,7 @@ class TestClosePairs:
     def test_exact_phi_beyond_mid_scale_excluded(self, two_speed):
         g = 0.2
         t = thresholds(g)
-        m = two_speed.phi_inverse(t.mid_level)
+        m = two_speed.phi_inverse(math.exp(-5.0 * g))
         dists = np.array([m + 0.05, m + 0.3, m + 1.0])
         vals = np.eye(4)
         for j, dist in enumerate(dists, start=1):

@@ -381,6 +381,19 @@ class TestSimulateCommand:
         assert "2**63" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        # a complete tree draws nothing before the simulator, so the
+        # simulator's own check refuses the seed
+        out = tmp_path / "x"
+        code = run_cli([
+            "simulate", "--complete-h", "3", "--mu", "0.2",
+            "--rates", "constant", "--k", "10", "--seed", "-1",
+            "--out-dir", str(out)])
+        assert code == 2
+        assert ("seed must be an integer in [0, 2**63), got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("source, rates, message", [
         (["--n", "8", "--f", "0.1", "--g", "0.2", "--big-m", "1.5"],
          "gamma:nan", "positive shape"),

@@ -576,6 +576,17 @@ class TestBatchedPhilox:
         assert aln.hidden_lambdas[9] == lam
         assert np.array_equal(aln.data[9], leaves)
 
+    @pytest.mark.parametrize("seed, shown", [
+        (-1, "-1"), (np.int64(-1), "-1"), (5.5, "5.5"), (5.0, "5.0")])
+    def test_seed_must_name_one_stream(self, five_leaf, jc, two_speed, seed,
+                                       shown):
+        # Philox would wrap -1 to the key 2**64 - 1 and truncate 5.5 to 5,
+        # so that 5.5, 5.0 and 5 gave the same streams
+        with pytest.raises(ValueError) as exc:
+            simulate_alignment(five_leaf, jc, two_speed, 10, seed=seed)
+        assert str(exc.value) == ("seed must be an integer in [0, 2**63), "
+                                  f"got {shown}")
+
     @pytest.mark.parametrize("law", ["gamma4", "lognormal"])
     def test_continuous_laws_keep_per_site_path(self, monkeypatch, five_leaf,
                                                 jc, law):

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -212,6 +214,39 @@ class TestRunPipeline:
         sigma = report.u_values.std()
         assert abs(np.median(report.u_values) - target) < sigma
         assert (np.abs(report.u_values - target) < 4 * sigma).mean() >= 0.99
+
+    def test_outputs_do_not_depend_on_blas_threads(self):
+        # the agreement counts are exact whatever order BLAS sums in, so
+        # one BLAS thread and BLAS's own choice give the same bytes
+        script = (
+            "import hashlib\n"
+            "import rasphy as rp\n"
+            "reg = rp.RegularityParams(0.1, 0.2, 1.5)\n"
+            "rates = rp.RateDistribution.two_speed(0.5, 1.5)\n"
+            "tree = rp.generate_random_regular(64, reg, seed=11)\n"
+            "aln = rp.simulate_alignment(\n"
+            "    tree, rp.SubstitutionModel.uniform(4), rates, 20_000, 12)\n"
+            "report = rp.run_pipeline(\n"
+            "    aln, rp.PipelineConfig(reg=reg, rates=rates), truth=tree)\n"
+            "report.raise_if_failed()\n"
+            "for out in (report.topology.to_newick().encode(),\n"
+            "            report.dhat.values.tobytes(),\n"
+            "            report.u_values.tobytes()):\n"
+            "    print(hashlib.sha256(out).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(rasphy.pipeline.__file__))
+        inherited = dict(os.environ)
+        inherited["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, inherited.get("PYTHONPATH")]))
+        single = dict(inherited, OPENBLAS_NUM_THREADS="1",
+                      OMP_NUM_THREADS="1")
+        digests = []
+        for env in (single, inherited):
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 3
+        assert digests[0] == digests[1]
 
 
 class TestIdentifiability:
