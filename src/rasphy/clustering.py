@@ -151,9 +151,11 @@ def sparsity_constant(params: RegularityParams) -> float:
 
 #: Bytes of the float32 block that holds one chunk of encoded sites in
 #: the match-counting kernel.  At n=512 and r=4, 16 and 32 MiB ran
-#: fastest of 4 to 64 MiB.  :func:`_match_counts` also caps a chunk's
-#: site count, to keep its sums exact.
+#: fastest of 4 to 64 MiB.  Below n=512 :data:`_CHUNK_SITES` binds first.
 CHUNK_BYTES = 16 * 2**20
+#: Most sites in one chunk of the match-counting kernel: at n <= 256 and
+#: r=4 its BLAS products ran no faster with more rows on a 2-vCPU VM.
+_CHUNK_SITES = 8192
 
 #: Bit ``x`` is the parity of ``x``, for every ``x < 32``.
 _PARITY = np.uint32(0x96696996)
@@ -193,18 +195,19 @@ def _match_counts(data: np.ndarray, r: int, sites=None) -> np.ndarray:
 
     Exactness: a product entry is a sum of ``+-1`` (or 0/1) over the
     chunk's sites, so every sum BLAS forms is an integer of magnitude at
-    most the chunk's site count.  A chunk holds at most ``2**24`` sites,
-    so float32 holds each such integer exactly, and their float64 total
-    is exact too.  The counts are thus the exact integers, whatever
-    order BLAS sums in.  The float32 block of a chunk takes at most
-    ``CHUNK_BYTES``; the signs are written into it in place, and a
-    gathered chunk adds its uint8 rows, a quarter of the block.
+    most the chunk's site count.  A chunk holds at most ``_CHUNK_SITES``
+    = 8192 sites, far below ``2**24``, so float32 holds each such integer
+    exactly, and their float64 total is exact too.  The counts are thus
+    the exact integers, whatever order BLAS sums in.  The float32 block
+    of a chunk takes at most ``min(_CHUNK_SITES * 4 n, CHUNK_BYTES)``
+    bytes; the signs are written into it in place, and a gathered chunk
+    adds its uint8 rows, a quarter of the block.
     """
     k = data.shape[0] if sites is None else len(sites)
     n = data.shape[1]
     signs = 2 <= r <= 32 and r & (r - 1) == 0
     planes = range(1, r) if signs else range(r)
-    rows = min(2**24, CHUNK_BYTES // (4 * max(n, 1)))
+    rows = min(_CHUNK_SITES, CHUNK_BYTES // (4 * max(n, 1)))
     counts = np.zeros((n, n))
     buf = np.empty((min(rows, k), n), dtype=np.float32)
     for start in range(0, k, rows):
@@ -238,6 +241,8 @@ def _agreement(aln: Alignment, model: SubstitutionModel,
     all sites for ``None``."""
     _check_alphabet(aln, model)
     k = aln.k if sites is None else len(sites)
+    if k == 0:
+        raise ValueError("alignment has no sites")
     # in place on the counts: (counts / k - q_inf) / p_inf, bit for bit
     q = _match_counts(aln.data, aln.r, sites)
     q /= k
@@ -261,8 +266,9 @@ def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
     1`` products of +-1 Walsh sign planes when ``r`` is a power of two up
     to 32, ``r`` one-hot products otherwise.  They are exact integers;
     :func:`_match_counts` says why.  Besides a few ``(n, n)`` arrays,
-    the working memory is one float32 block of at most ``CHUNK_BYTES``,
-    whatever the number of sites.
+    the working memory is one float32 block of at most 8192 sites and at
+    most ``CHUNK_BYTES``, whatever the number of sites.  An alignment
+    with no sites is refused.
     """
     return _agreement(aln, model)
 

@@ -574,7 +574,10 @@ def quartet_margin(d, a: int, b: int, c: int, e: int):
     """Best split plus its margin (second-smallest sum minus smallest).
 
     Same conventions as :func:`four_point_topology`; the margin is 0.0
-    for a tie.  Used by reconstruction to require a noise-proof margin.
+    for a tie.  Reconstruction does not call it: it applies the same
+    margin rule in ``reconstruct._test_cherry``, over all of a
+    candidate's witness pairs at once.  ``reconstruct`` imports this name
+    only because ``perfbench/spans.py`` looks it up there.
     """
     sums = sorted(
         (

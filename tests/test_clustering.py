@@ -107,6 +107,24 @@ class TestAgreementMatrix:
             tracemalloc.stop()
         assert peak < CHUNK_BYTES + 1.6 * 8 * n * n
 
+    def test_block_capped_in_sites_below_n_512(self, jc):
+        # at n=128 the byte bound alone would hold all 20 000 sites in one
+        # 10 MB float32 block; the site cap holds it to 8192 sites, 4 MiB.
+        # Besides it the kernel holds the float64 counts, one float32
+        # product (1.5 units of n*n*8 bytes) and the 64 KiB buffer numpy
+        # casts the product to float64 through, whatever n is
+        n, k = 128, 20_000
+        rng = np.random.default_rng(0)
+        aln = Alignment(rng.integers(0, 4, size=(k, n)).astype(np.uint8),
+                        r=4)
+        tracemalloc.start()
+        try:
+            agreement_matrix(aln, jc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192 * n * 4 + 1.6 * 8 * n * n + 2**16
+
 
 def _reference_agreement(data, r):
     """The agreement matrix from float64 one-hot products over all sites."""
@@ -121,24 +139,39 @@ def _reference_agreement(data, r):
     return want
 
 
-@pytest.mark.parametrize("n, r, k", [(300, 2, 13_982), (300, 3, 13_982),
-                                     (300, 4, 13_982), (300, 8, 13_982),
-                                     (300, 16, 13_982), (7, 20, 5)])
+@pytest.mark.parametrize("n, r, k", [
+    (300, 2, 8193), (300, 3, 8193), (300, 4, 8193), (300, 8, 8193),
+    (300, 16, 8193), (300, 2, 13_982), (300, 3, 13_982), (300, 4, 13_982),
+    (300, 8, 13_982), (300, 16, 13_982), (7, 20, 5)])
 def test_counts_equal_float64_one_hot_reference(n, r, k):
-    # at n=300 a site chunk holds 13 981 sites, with sign planes (r = 2,
-    # 4, 8, 16) as with one-hot planes (r = 3): k crosses it by one
+    # at n=300 a site chunk holds 8192 sites, with sign planes (r = 2, 4,
+    # 8, 16) as with one-hot planes (r = 3): k = 8193 crosses it by one,
+    # and k = 13 982 ends in a part-filled second chunk
     rng = np.random.default_rng(n)
     data = rng.integers(0, r, size=(k, n)).astype(np.uint8)
     got = agreement_matrix(Alignment(data, r=r), SubstitutionModel.uniform(r))
     assert np.array_equal(got, _reference_agreement(data, r))
 
 
+def test_gathered_counts_equal_float64_one_hot_reference():
+    # bin_agreement gathers each chunk's rows; 8193 of every second site
+    # cross a chunk of 8192 sites by one
+    n, r = 128, 4
+    rng = np.random.default_rng(n)
+    data = rng.integers(0, r, size=(2 * 8193, n)).astype(np.uint8)
+    sites = np.arange(0, len(data), 2)
+    got = bin_agreement(Alignment(data, r=r), sites,
+                        SubstitutionModel.uniform(r))
+    assert np.array_equal(got, _reference_agreement(data[sites], r))
+
+
 def test_sign_partial_stays_below_2_24():
-    # r = 16 takes 15 sign products per chunk.  At n=3 the byte bound
-    # allows chunks of 2**24 // 12 = 1 398 101 sites, where the equal pair
-    # (0, 1) sums to 15 * 1 398 101 > 2**24 over the products, an odd
-    # number float32 cannot hold; each product adds straight into the
-    # float64 total, so no float32 value exceeds the chunk's site count
+    # r = 16 takes 15 sign products per chunk.  Over k = 1 398 101 sites
+    # the equal pair (0, 1) sums to 15 * 1 398 101 > 2**24 over all the
+    # products, an odd number float32 cannot hold.  A chunk holds at most
+    # 8192 sites, and each product adds straight into the float64 total,
+    # so no float32 value exceeds 8192; a float32 total kept across
+    # chunks or planes would have to be folded before it passed 2**24
     k, r = 1_398_101, 16
     rng = np.random.default_rng(3)
     data = rng.integers(0, r, size=(k, 3)).astype(np.uint8)
@@ -159,8 +192,8 @@ def _pairs_digest(pairs):
 
 
 class TestAgreementGolden:
-    # at n=4 a site chunk of the counting kernel holds 2**20 sites, so
-    # k = 2**20 + 1 puts one site in a second chunk
+    # a site chunk of the counting kernel holds 8192 sites, so
+    # k = 2**20 + 1 fills 128 chunks and puts one site in a 129th
     @pytest.mark.parametrize("r, k, digest", [
         (2, 1, "264d51aa8691c450cca04217821a82b3f95a653abe88f849f46da0499d77cd4b"),
         (4, 1, "74bb001660323f9cedb40769dadef706493a84b8fa00dd9dd99c29e10ccd0753"),

@@ -48,7 +48,7 @@ class TestBinAgreement:
 
     def test_bin_is_not_copied_whole(self, jc):
         # a copy of the bin's rows alone would take 24 MiB here, on top of
-        # the kernel's 16 MiB float32 block
+        # the kernel's float32 block of 8192 sites, 8 MiB
         rng = np.random.default_rng(0)
         aln = Alignment(rng.integers(0, 4, size=(200_000, 256))
                         .astype(np.uint8), r=4)
@@ -65,8 +65,9 @@ class TestBinAgreement:
 class TestBinAgreementGolden:
     """sha256 of the little-endian float64 bytes of ``bin_agreement``.
 
-    The bin leaves out sites 1 and 2.  At n=4 a site chunk of the counting
-    kernel holds 2**20 sites, so 2**20 + 1 kept sites cross a chunk.
+    The bin leaves out sites 1 and 2.  A site chunk of the counting kernel
+    holds 8192 sites, so 2**20 + 1 kept sites fill 128 chunks and put one
+    site in a 129th.
     """
 
     @pytest.mark.parametrize("r, k, digest", [

@@ -656,6 +656,19 @@ class TestPipelineCommand:
         assert "tau" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
+    def test_alignment_without_sites_is_input_error(self, tmp_path, capsys):
+        # no sites at all is bad input, not a statistical failure
+        aln = tmp_path / "aln.txt"
+        aln.write_text("0 5 4\n")
+        out = tmp_path / "pipe"
+        code = run_cli([
+            "pipeline", "--alignment", str(aln), "--f", "0.1", "--g", "0.2",
+            "--big-m", "1.5", "--out-dir", str(out)])
+        assert code == 2
+        assert ("rasphy pipeline: alignment has no sites"
+                in capsys.readouterr().err)
+        assert not (out / "report.txt").exists()
+
     def test_infinite_big_m_is_input_error(self, tmp_path, capsys):
         # data that reaches binning, where an infinite cap divided by zero
         sim = tmp_path / "sim"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rasphy import (Alignment, RateDistribution, RegularityParams,
-                    SubstitutionModel, check_assumption,
+                    SubstitutionModel, agreement_matrix, check_assumption,
                     exact_leaf_distribution, generate_random_regular,
                     invert_decreasing, parse_newick, simulate_alignment,
                     transition_matrix, tree_metric)
@@ -724,6 +724,10 @@ _QUARTET = "((a:1,b:1):1,(c:1,d:1):1);"
                                 SubstitutionModel.uniform(2),
                                 RateDistribution.constant(), 0, 0),
      "k must be at least 1"),
+    # 0 / 0 would fill the matrix with NaN off the diagonal
+    (lambda: agreement_matrix(Alignment(np.zeros((0, 5), dtype=np.uint8),
+                                        r=4), SubstitutionModel.uniform(4)),
+     "alignment has no sites"),
     (lambda: Alignment(np.zeros(3, dtype=np.uint8), r=2),
      "alignment data must be 2-d (sites x leaves)"),
     (lambda: Alignment(np.array([[0.5, 1.0, 0.0]] * 10), r=3),
@@ -731,8 +735,8 @@ _QUARTET = "((a:1,b:1):1,(c:1,d:1):1);"
     (lambda: Alignment(np.array([[np.nan, 1.0, 0.0]] * 10), r=3),
      "alignment states must be integers, not float64"),
 ], ids=["r-1", "pi-length", "support-probs-length", "kind-weibull",
-        "zero-mean", "curve-never-reaches", "k-0", "data-1d", "data-half",
-        "data-nan"])
+        "zero-mean", "curve-never-reaches", "k-0", "agreement-k-0",
+        "data-1d", "data-half", "data-nan"])
 def test_rejections(build, message):
     with pytest.raises(ValueError) as exc:
         build()
