@@ -745,7 +745,7 @@ class TestFloatTextPins:
     then ``rasphy pipeline --truth`` at n=32, k=2e4 under ``gamma:4``.
     With g=0.5 and seed 12 the run recovers the tree and ``distances.txt``
     holds ``inf`` entries, so the pins cover finite, infinite and zero
-    cells, the lambda sidecar and the bin edges."""
+    cells, the lambda sidecar, the bin edges and the binning constants."""
 
     PINS = {
         "lambdas.txt":
@@ -756,6 +756,8 @@ class TestFloatTextPins:
             "b095d254e2498038eec3ed15f96cca46bfcc8e65ce4dec103060271abd00e132",
         "bins.csv":
             "687289a9752e9280427bdf6d42eb933e6105204d9c3fa240a3e95f0000a29b77",
+        "params.txt":
+            "fa0a4fd83e7a33682803cd287e4607685b157b9c8640ec96970f4f10eb51c202",
     }
 
     def test_digests(self, tmp_path, capsys):
