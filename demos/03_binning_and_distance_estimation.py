@@ -10,6 +10,8 @@ overall scale (the bin's speed) -- accurately at short range, censored to
 exactly that.
 """
 
+import dataclasses
+
 import numpy as np
 
 import rasphy as rp
@@ -29,8 +31,8 @@ u = rp.all_site_statistics(aln, pairs, model)
 # binning constants derived from (f, g, M) alone
 bp = rp.derive_params(params, n=aln.n)
 print("binning constants:")
-for line in bp.lines():
-    print("   ", line)
+for name, value in dataclasses.asdict(bp).items():
+    print(f"    {name}={value}")
 
 assignment = rp.bin_sites(u, bp)
 star = rp.select_abundant(assignment, k=aln.k)

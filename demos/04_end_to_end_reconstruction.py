@@ -32,7 +32,8 @@ print(f"\nsparse pairs: {len(report.pair_set)}")
 print(f"certificate (path-disjoint / size / distances): "
       f"{report.certificate.path_disjoint} / {report.certificate.size_ok} / "
       f"{report.certificate.distance_ok}")
-print(f"abundant bin {report.abundant_bin} with {report.bin_size} sites")
+counts = report.to_record()["stages"]["select_abundant"]
+print(f"abundant bin {counts['abundant_bin']} with {counts['bin_size']} sites")
 print(f"\nRobinson-Foulds distance to the true topology: "
       f"{report.rf_distance}")
 

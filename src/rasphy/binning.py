@@ -84,11 +84,6 @@ class BinningParams:
         """Sites a bin needs out of ``k`` to count as abundant."""
         return k * self.chi / (6.0 * self.num_bins)
 
-    def lines(self):
-        for name in ("rate_lo", "rate_hi", "chi", "u_lo", "u_hi",
-                     "gamma_u", "delta_u", "num_bins", "n_leaves"):
-            yield f"{name}={getattr(self, name)!r}"
-
 
 @dataclass(frozen=True)
 class BinAssignment:

@@ -11,6 +11,7 @@ statistical, model or input error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -177,7 +178,7 @@ def _cmd_simulate(args) -> int:
 # first, so that no output of an earlier run survives beside its own.
 _PIPELINE_FILES = ("config.txt", "u_values.csv", "pairs.txt", "params.txt",
                    "bins.csv", "distances.txt", "reconstructed.nwk",
-                   "report.txt")
+                   "report.txt", "report.json")
 
 
 def _cmd_pipeline(args) -> int:
@@ -189,23 +190,23 @@ def _cmd_pipeline(args) -> int:
     cfg = PipelineConfig(reg=reg, rates=rates, gamma_u=args.gamma_u,
                          recon=recon)
     truth = _io.read_tree(args.truth) if args.truth else None
+    report = run_pipeline(
+        aln, cfg, truth=truth,
+        stop_after="site_statistics" if args.stats_only else None)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in _PIPELINE_FILES:
         (out / name).unlink(missing_ok=True)
     _echo_config(out, args)
-    report = run_pipeline(
-        aln, cfg, truth=truth,
-        stop_after="site_statistics" if args.stats_only else None)
 
+    record = report.to_record()
     labels = truth.labels if truth else [f"leaf_{i}" for i in range(aln.n)]
     if report.u_values is not None:
         _io.write_statistics_csv(out / "u_values.csv", report.u_values)
     if report.pair_set is not None and not args.stats_only:
         _io.write_pairset(out / "pairs.txt", report.pair_set, labels)
-    if report.bin_params is not None:
-        (out / "params.txt").write_text(
-            "\n".join(report.bin_params.lines()) + "\n")
+    if "params" in record:
+        (out / "params.txt").write_text(_key_value_text(record["params"]))
     if report.assignment is not None:
         _io.write_bin_report(out / "bins.csv", report.assignment, aln.k)
     if report.dhat is not None:
@@ -213,7 +214,10 @@ def _cmd_pipeline(args) -> int:
                                   report.dhat.values, labels)
     if report.topology is not None:
         _io.write_tree(out / "reconstructed.nwk", report.topology)
-    _write_report(out / "report.txt", report)
+    (out / "report.json").write_text(json.dumps(record, indent=1) + "\n")
+    (out / "report.txt").write_text("".join(
+        f"[{section}]\n" + _key_value_text(values)
+        for section, values in record.items()))
     if not report.ok:
         print(f"pipeline: {report.error}", file=sys.stderr)
         return STAGE_ERROR
@@ -222,31 +226,15 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _write_report(path, report):
-    lines = ["[stages]"]
-    for rec in report.stages:
-        lines.append(f"{rec.name}.status={rec.status}")
-        lines.append(f"{rec.name}.seconds={rec.seconds!r}")
-        for key, value in rec.detail.items():
-            lines.append(f"{rec.name}.{key}={value}")
-        if rec.reason:
-            lines.append(f"{rec.name}.reason={rec.reason}")
-    lines.append("[summary]")
-    lines.append(f"ok={report.ok}")
-    if report.pair_set is not None:
-        lines.append(f"pair_count={len(report.pair_set)}")
-    if report.abundant_bin is not None:
-        lines.append(f"abundant_bin={report.abundant_bin}")
-        lines.append(f"bin_size={report.bin_size}")
-    if report.rf_distance is not None:
-        lines.append(f"rf={report.rf_distance}")
-    if report.certificate is not None:
-        lines.append("[certificate]")
-        lines.extend(report.certificate.lines())
-    if report.distortion is not None:
-        lines.append("[distortion]")
-        lines.extend(report.distortion.lines())
-    Path(path).write_text("\n".join(lines) + "\n")
+def _key_value_text(record, prefix="") -> str:
+    """``key=value`` lines of a record, nested keys joined by dots."""
+    text = ""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            text += _key_value_text(value, f"{prefix}{key}.")
+        else:
+            text += f"{prefix}{key}={value}\n"
+    return text
 
 
 def _cmd_eval(args) -> int:

@@ -127,17 +127,6 @@ class SparsityCertificate:
     def ok(self) -> bool:
         return self.path_disjoint and self.size_ok and self.distance_ok
 
-    def lines(self):
-        yield f"gamma_s={self.gamma_s!r}"
-        yield f"pair_count={self.pair_count}"
-        yield f"n_leaves={self.n_leaves}"
-        yield f"path_disjoint={self.path_disjoint}"
-        yield f"size_ok={self.size_ok}"
-        yield f"distance_ok={self.distance_ok}"
-        yield f"ok={self.ok}"
-        if self.detail:
-            yield f"detail={self.detail}"
-
 
 def sparsity_constant(params: RegularityParams) -> float:
     """The guaranteed pair density ``2 ** -(2*floor(M/f) + 2)``."""

@@ -63,7 +63,8 @@ class DistortedMetric:
 
 @dataclass(frozen=True)
 class DistortionReport:
-    """Violation count of the short-range accuracy condition."""
+    """Violation count of the short-range accuracy condition; ``worst``
+    is ``(a, b, error)`` of the largest violation, if any."""
 
     violations: int
     checked: int
@@ -74,17 +75,6 @@ class DistortionReport:
     @property
     def ok(self) -> bool:
         return self.violations == 0
-
-    def lines(self):
-        yield f"distortion_ok={self.ok}"
-        yield f"violations={self.violations}"
-        yield f"checked={self.checked}"
-        yield f"tau={self.tau!r}"
-        yield f"psi={self.psi!r}"
-        if self.worst is not None:
-            a, b, err = self.worst
-            yield f"worst_pair={a},{b}"
-            yield f"worst_error={err!r}"
 
 
 def bin_agreement(aln: Alignment, bin_sites, model: SubstitutionModel) -> np.ndarray:

@@ -23,6 +23,7 @@ config file      ``key = value`` lines, ``#`` comments
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -140,14 +141,18 @@ def read_alignment(path) -> Alignment:
             raise ValueError("alignment header must be 'k n r'")
         k, n, r = map(int, header)
         dtype = np.uint8 if r <= 256 else np.int64
-        if k and n:
-            data = np.loadtxt(fh, dtype=dtype, ndmin=2, max_rows=k)
+        if k and n:  # the k rows loadtxt would read, and no further
+            rows = (line for line in fh if line.partition("#")[0].strip())
+            data = np.loadtxt(itertools.islice(rows, k), dtype=dtype, ndmin=2)
         # loadtxt skips blank lines, so the k empty rows of n = 0 are read here
         elif all(fh.readline().isspace() for _ in range(k)):
             data = np.empty((k, n), dtype=dtype)
         else:
             raise ValueError(f"alignment body does not match header ({k}, "
                              f"{n}): want {k} blank lines")
+        if fh.read().strip():
+            raise ValueError(f"alignment body does not match header ({k}, "
+                             f"{n}): text after row {k}")
     if data.shape != (k, n):
         raise ValueError(f"alignment body {data.shape} does not match "
                          f"header ({k}, {n})")
@@ -161,7 +166,8 @@ def _read_fixed_width(fh):
     Rows are ``2n`` bytes (one byte, the newline, at ``n = 0``) and are
     read in blocks of about 1 MiB into one reused buffer; a block is
     taken only if its separators are spaces, its last bytes newlines and
-    its digits below ``r``.  The states are uint8, as the general grammar
+    its digits below ``r``, and the text only if nothing but whitespace
+    follows row ``k``.  The states are uint8, as the general grammar
     stores them for ``r <= 256``; a byte below ``"0"`` wraps to 208 and
     up, so one comparison rejects it with every byte above ``"9"``.
     """
@@ -187,6 +193,8 @@ def _read_fixed_width(fh):
                 or not (np.subtract(rows[:, :2 * n:2], ord("0"), out=out)
                         < below).all()):
             return None
+    if fh.read().strip():
+        return None
     return Alignment(data, r)
 
 

@@ -24,7 +24,7 @@ slow/fast site classification report for two-speed simulations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,12 +110,34 @@ class PipelineReport:
     def ok(self) -> bool:
         return self.error is None
 
-    @property
-    def bin_size(self) -> int | None:
-        """Number of sites in the abundant bin."""
-        if self.abundant_bin is None:
-            return None
-        return int(self.assignment.counts()[self.abundant_bin])
+    def to_record(self) -> dict:
+        """The run as one JSON-safe dict of plain Python values.
+
+        ``stages`` maps each stage to its status, seconds, counts and
+        reason; ``summary`` holds ``ok`` and, once scored, ``rf``;
+        ``params``, ``certificate`` and ``distortion`` hold their fields
+        (and ``ok``) when filled.  Each value has one key path.
+        """
+        record = {"stages": {}, "summary": {"ok": self.ok}}
+        for rec in self.stages:
+            stage = record["stages"][rec.name] = {
+                "status": rec.status, "seconds": rec.seconds, **rec.detail}
+            if rec.reason:
+                stage["reason"] = rec.reason
+        if self.rf_distance is not None:
+            record["summary"]["rf"] = self.rf_distance
+        for key, value in (("params", self.bin_params),
+                           ("certificate", self.certificate),
+                           ("distortion", self.distortion)):
+            if value is None:
+                continue
+            record[key] = {
+                name: list(item) if isinstance(item, tuple) else item
+                for name, item in asdict(value).items()
+                if item is not None and item != ""}
+            if hasattr(value, "ok"):
+                record[key]["ok"] = value.ok
+        return record
 
     def raise_if_failed(self):
         if self.error is not None:

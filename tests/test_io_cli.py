@@ -1,4 +1,5 @@
 import hashlib
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from rasphy import (Alignment, BinningParams, RateDistribution,
 from rasphy import cli
 from rasphy import io as rio
 from rasphy.cli import main
+from rasphy.pipeline import run_pipeline
 from rasphy.distances import MIN_POSITIVE_DISTANCE
 
 # bit patterns of -0.0, 0.0, +-inf, 5e-324, the smallest normal, 1e16 and
@@ -114,7 +116,8 @@ class TestFileFormats:
         "2 3 4\n0  1 2\n3 0 1\n",  # a double space
         "2 3 4\n0 1 2 \n3 0 1\n",  # a trailing space
         "2 3 4\n0 1 2\n3 0 1",  # no final newline
-        "2 3 4\n0 1 2\n3 0 1\n2 2 2\n9 9\n",  # rows after k are ignored
+        "2 3 4\n0 1 2\n\n3 0 1\n \n",  # blank lines among and after rows
+        "2 3 4\n# a note\n0 1 2\n3 0 1 # a note\n",  # comments
     ])
     def test_alignment_grammar_beyond_fixed_width(self, tmp_path, text):
         path = tmp_path / "aln.txt"
@@ -131,6 +134,13 @@ class TestFileFormats:
         ("2 0 4\n\n1\n", "does not match"),  # states in an n=0 body
         ("2 0 4\r\n1\r\n\r\n", "does not match"),
         ("2 0 4\n\n", "does not match"),
+        # rows beyond the header's k, in the fixed-width layout, with a
+        # double space, beyond a blank line and at n=0
+        ("2 4 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n", "text after row 2"),
+        ("2 4 4\n0  1 2 3\n1 2 3 0\n2 3 0 1\n", "text after row 2"),
+        ("2 3 4\n0 1 2\n3 0 1\n2 2 2\n9 9\n", "text after row 2"),
+        ("2 3 4\n0 1 2\n\n3 0 1\n\n9\n", "text after row 2"),
+        ("2 0 4\n\n\n1\n", "text after row 2"),
     ])
     def test_malformed_alignment_rejected(self, tmp_path, text, match):
         path = tmp_path / "aln.txt"
@@ -547,6 +557,7 @@ class TestPipelineCommand:
             assert (out / name).exists()
         report = (out / "report.txt").read_text()
         assert "ok=True" in report and "rf=0" in report
+        assert "[params]" in report
         # bins.csv flags exactly the bins at the abundance threshold, and
         # the selected bin is one of them
         params = dict(line.split("=", 1) for line in
@@ -563,7 +574,7 @@ class TestPipelineCommand:
             if flag == "True":
                 abundant.add(j)
         chosen = [line.split("=", 1)[1] for line in report.splitlines()
-                  if line.startswith("abundant_bin=")]
+                  if line.startswith("select_abundant.abundant_bin=")]
         assert len(chosen) == 1 and chosen[0] in abundant
 
     def test_truth_of_other_leaf_count_is_input_error(self, sim_dir,
@@ -579,7 +590,24 @@ class TestPipelineCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "16 leaves" in err and "has 32" in err
-        assert not (out / "pairs.txt").exists()
+        assert not out.exists()
+
+    def test_assumption_failure_keeps_earlier_run(self, sim_dir, tmp_path,
+                                                  capsys):
+        # an input refused inside run_pipeline touches no file of --out-dir
+        out = tmp_path / "pipe"
+
+        def pipeline(rates):
+            return run_cli([
+                "pipeline", "--alignment", str(sim_dir / "alignment.txt"),
+                "--f", "0.1", "--g", "0.2", "--big-m", "1.5",
+                "--rates", rates, "--out-dir", str(out)])
+
+        assert pipeline("discrete:0.5,0.5;1.5,0.5") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert pipeline("discrete:0.01,0.5;1.99,0.5") == 2
+        assert "assumption" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_missing_big_m_is_usage_error(self, sim_dir, tmp_path):
         code = run_cli([
@@ -667,7 +695,7 @@ class TestPipelineCommand:
         assert code == 2
         assert ("rasphy pipeline: alignment has no sites"
                 in capsys.readouterr().err)
-        assert not (out / "report.txt").exists()
+        assert not out.exists()
 
     def test_infinite_big_m_is_input_error(self, tmp_path, capsys):
         # data that reaches binning, where an infinite cap divided by zero
@@ -738,6 +766,62 @@ class TestPipelineCommand:
         assert "pipeline: stage 'sparsify' failed" in capsys.readouterr().err
         assert "sparsify.status=failed" in (out / "report.txt").read_text()
         assert not (out / "pairs.txt").exists()
+
+    @pytest.mark.parametrize("case", ["ok", "failing", "stats-only"])
+    def test_report_files_hold_the_record(self, sim_dir, tmp_path,
+                                          monkeypatch, case):
+        reports = []
+
+        def spy(*args, **kwargs):
+            reports.append(run_pipeline(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_pipeline", spy)
+        if case == "failing":  # no two leaves ever agree, as above
+            aln = tmp_path / "aln.txt"
+            aln.write_text("4 4 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
+            args, code = ["--alignment", str(aln)], 2
+        else:
+            args = ["--alignment", str(sim_dir / "alignment.txt"),
+                    "--rates", "discrete:0.5,0.5;1.5,0.5",
+                    "--truth", str(sim_dir / "tree.nwk")]
+            args, code = args + ["--stats-only"] * (case == "stats-only"), 0
+        out = tmp_path / "pipe"
+        assert run_cli(["pipeline", *args, "--f", "0.1", "--g", "0.2",
+                        "--big-m", "1.5", "--out-dir", str(out)]) == code
+        [report] = reports
+        record = report.to_record()
+        assert json.loads((out / "report.json").read_text()) == record
+        assert record["summary"]["ok"] is (case != "failing")
+        # each report.txt line is one value of the record, and each value
+        # one line: "[section]", then "key.key=value" down its key path
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [line[1:-1] for line in lines if line.startswith("[")] == \
+            list(record)
+        values = 0
+        for line in lines:
+            if line.startswith("["):
+                section = record[line[1:-1]]
+                continue
+            path, text = line.split("=", 1)
+            value = section
+            for key in path.split("."):
+                value = value[key]
+            assert text == str(value) and not isinstance(value, dict)
+            values += 1
+        todo, leaves = [record], 0
+        while todo:
+            value = todo.pop()
+            if isinstance(value, dict):
+                todo.extend(value.values())
+            else:
+                leaves += 1
+        assert values == leaves
+        # a decision's count sits under its stage only
+        counts = {key for stage in record["stages"].values()
+                  for key in stage}
+        assert set(record["summary"]).isdisjoint(counts)
+        assert "bin_size" in counts or case != "ok"
 
 
 class TestFloatTextPins:

@@ -39,13 +39,22 @@ class TestRunPipeline:
         assert report.certificate is not None and report.certificate.ok
         assert report.distortion is not None
         assert [rec.status for rec in report.stages] == ["ok"] * 10
-        # the [distortion] lines of report.txt hold plain numbers, not
-        # numpy scalar reprs such as "np.float64(...)"
-        values = dict(line.split("=", 1)
-                      for line in report.distortion.lines())
-        assert values.pop("distortion_ok") in ("True", "False")
-        for value in values.values():
-            [float(part) for part in value.split(",")]  # worst_pair is a,b
+        # the record holds only plain Python values, so report.txt never
+        # shows a numpy scalar repr such as "np.float64(...)"; type(), not
+        # isinstance, since np.float64 subclasses float
+        record = report.to_record()
+        assert list(record) == ["stages", "summary", "params",
+                                "certificate", "distortion"]
+        todo = [record]
+        while todo:
+            value = todo.pop()
+            if type(value) is dict:
+                assert all(type(key) is str for key in value)
+                todo.extend(value.values())
+            elif type(value) is list:
+                todo.extend(value)
+            else:
+                assert type(value) in (str, int, float, bool), repr(value)
 
     def test_sidecar_never_leaks(self):
         # byte-identical topology with and without the hidden rates
