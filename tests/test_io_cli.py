@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rasphy import (Alignment, BinningParams, RateDistribution,
-                    RegularityParams, generate_random_regular,
+                    RegularityParams, generate_random_regular, run_pipeline,
                     simulate_alignment)
 from rasphy import cli
 from rasphy import io as rio
 from rasphy.cli import main
-from rasphy.pipeline import run_pipeline
 from rasphy.distances import MIN_POSITIVE_DISTANCE
 
 # bit patterns of -0.0, 0.0, +-inf, 5e-324, the smallest normal, 1e16 and
