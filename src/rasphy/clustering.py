@@ -119,8 +119,6 @@ class SparsityCertificate:
     path_disjoint: bool
     size_ok: bool
     distance_ok: bool
-    pair_count: int
-    n_leaves: int
     detail: str = ""
 
     @property
@@ -139,12 +137,13 @@ def sparsity_constant(params: RegularityParams) -> float:
 
 
 #: Bytes of the float32 block that holds one chunk of encoded sites in
-#: the match-counting kernel.  At n=512 and r=4, 16 and 32 MiB ran
-#: fastest of 4 to 64 MiB.  Below n=512 :data:`_CHUNK_SITES` binds first.
+#: the match-counting kernel.  With no site cap, 16 and 32 MiB ran
+#: fastest of 4 to 64 MiB at n=512 and r=4.  It binds from n=1024 on;
+#: below that :data:`_CHUNK_SITES` binds first.
 CHUNK_BYTES = 16 * 2**20
-#: Most sites in one chunk of the match-counting kernel: at n <= 256 and
-#: r=4 its BLAS products ran no faster with more rows on a 2-vCPU VM.
-_CHUNK_SITES = 8192
+#: Most sites in one chunk of the match-counting kernel: at n <= 512 and
+#: r=4 its BLAS products ran no faster with 8192 rows on a 2-vCPU VM.
+_CHUNK_SITES = 4096
 
 #: Bit ``x`` is the parity of ``x``, for every ``x < 32``.
 _PARITY = np.uint32(0x96696996)
@@ -185,7 +184,7 @@ def _match_counts(data: np.ndarray, r: int, sites=None) -> np.ndarray:
     Exactness: a product entry is a sum of ``+-1`` (or 0/1) over the
     chunk's sites, so every sum BLAS forms is an integer of magnitude at
     most the chunk's site count.  A chunk holds at most ``_CHUNK_SITES``
-    = 8192 sites, far below ``2**24``, so float32 holds each such integer
+    = 4096 sites, far below ``2**24``, so float32 holds each such integer
     exactly, and their float64 total is exact too.  The counts are thus
     the exact integers, whatever order BLAS sums in.  The float32 block
     of a chunk takes at most ``min(_CHUNK_SITES * 4 n, CHUNK_BYTES)``
@@ -255,7 +254,7 @@ def agreement_matrix(aln: Alignment, model: SubstitutionModel) -> np.ndarray:
     1`` products of +-1 Walsh sign planes when ``r`` is a power of two up
     to 32, ``r`` one-hot products otherwise.  They are exact integers;
     :func:`_match_counts` says why.  Besides a few ``(n, n)`` arrays,
-    the working memory is one float32 block of at most 8192 sites and at
+    the working memory is one float32 block of at most 4096 sites and at
     most ``CHUNK_BYTES``, whatever the number of sites.  An alignment
     with no sites is refused.
     """
@@ -376,8 +375,6 @@ def certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
         path_disjoint=clash is None,
         size_ok=size_ok,
         distance_ok=distance_ok,
-        pair_count=len(pairs),
-        n_leaves=n,
         detail=detail,
     )
 

@@ -389,11 +389,11 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
 
     Besides the output, each worker holds a vertex-major block of keep
     flags and states, one byte each per vertex and site, in chunks of
-    ``(1 << 23) // n_vertices`` sites: 16 MiB per chunk.  At a chunk
+    ``(1 << 22) // n_vertices`` sites: 8 MiB per chunk.  At a chunk
     boundary the next chunk's keep flags are allocated while the last
-    chunk's two 8 MiB arrays are still bound, so up to 24 MiB of blocks
+    chunk's two 4 MiB arrays are still bound, so up to 12 MiB of blocks
     are live; with the tile and its temporaries each worker stays within
-    32 MiB (25.2 MiB measured at n=512, k=2e4), about ``W`` x 32 MiB in
+    16 MiB (13.1 MiB measured at n=512, k=2e4), about ``W`` x 16 MiB in
     all.
 
     The walk starts at :attr:`Phylogeny.root`; by reversibility of the
@@ -523,11 +523,10 @@ def _simulate_sites(p: Phylogeny, model: SubstitutionModel,
 
     # Sites are drawn into a cache-sized tile, one row of doubles per site,
     # and reduced there to keep flags and fresh states.  Those go into a
-    # vertex-major chunk block (one byte each, 2 * 2**23 B = 16 MiB, the
-    # bound of clustering.CHUNK_BYTES; three 8 MiB arrays are live at a
-    # chunk boundary), so the walk handles each edge with one contiguous
-    # pass over the chunk.
-    chunk = max(1, min(hi - lo, (1 << 23) // n_vertices))
+    # vertex-major chunk block (one byte each, 2 * 2**22 B = 8 MiB; three
+    # 4 MiB arrays are live at a chunk boundary), so the walk handles each
+    # edge with one contiguous pass over the chunk.
+    chunk = max(1, min(hi - lo, (1 << 22) // n_vertices))
     tile = np.empty((max(1, min(chunk, (1 << 17) // width)), width))
     for start in range(lo, hi, chunk):
         stop = min(hi, start + chunk)

@@ -109,7 +109,7 @@ class TestAgreementMatrix:
 
     def test_block_capped_in_sites_below_n_512(self, jc):
         # at n=128 the byte bound alone would hold all 20 000 sites in one
-        # 10 MB float32 block; the site cap holds it to 8192 sites, 4 MiB.
+        # 10 MB float32 block; the site cap holds it to 4096 sites, 2 MiB.
         # Besides it the kernel holds the float64 counts, one float32
         # product (1.5 units of n*n*8 bytes) and the 64 KiB buffer numpy
         # casts the product to float64 through, whatever n is
@@ -123,7 +123,7 @@ class TestAgreementMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8192 * n * 4 + 1.6 * 8 * n * n + 2**16
+        assert peak < 4096 * n * 4 + 1.6 * 8 * n * n + 2**16
 
 
 def _reference_agreement(data, r):
@@ -144,9 +144,9 @@ def _reference_agreement(data, r):
     (300, 16, 8193), (300, 2, 13_982), (300, 3, 13_982), (300, 4, 13_982),
     (300, 8, 13_982), (300, 16, 13_982), (7, 20, 5)])
 def test_counts_equal_float64_one_hot_reference(n, r, k):
-    # at n=300 a site chunk holds 8192 sites, with sign planes (r = 2, 4,
-    # 8, 16) as with one-hot planes (r = 3): k = 8193 crosses it by one,
-    # and k = 13 982 ends in a part-filled second chunk
+    # at n=300 a site chunk holds 4096 sites, with sign planes (r = 2, 4,
+    # 8, 16) as with one-hot planes (r = 3): k = 8193 fills two chunks and
+    # puts one site in a third, and k = 13 982 ends in a part-filled fourth
     rng = np.random.default_rng(n)
     data = rng.integers(0, r, size=(k, n)).astype(np.uint8)
     got = agreement_matrix(Alignment(data, r=r), SubstitutionModel.uniform(r))
@@ -155,7 +155,7 @@ def test_counts_equal_float64_one_hot_reference(n, r, k):
 
 def test_gathered_counts_equal_float64_one_hot_reference():
     # bin_agreement gathers each chunk's rows; 8193 of every second site
-    # cross a chunk of 8192 sites by one
+    # fill two chunks of 4096 sites and put one site in a third
     n, r = 128, 4
     rng = np.random.default_rng(n)
     data = rng.integers(0, r, size=(2 * 8193, n)).astype(np.uint8)
@@ -169,8 +169,8 @@ def test_sign_partial_stays_below_2_24():
     # r = 16 takes 15 sign products per chunk.  Over k = 1 398 101 sites
     # the equal pair (0, 1) sums to 15 * 1 398 101 > 2**24 over all the
     # products, an odd number float32 cannot hold.  A chunk holds at most
-    # 8192 sites, and each product adds straight into the float64 total,
-    # so no float32 value exceeds 8192; a float32 total kept across
+    # 4096 sites, and each product adds straight into the float64 total,
+    # so no float32 value exceeds 4096; a float32 total kept across
     # chunks or planes would have to be folded before it passed 2**24
     k, r = 1_398_101, 16
     rng = np.random.default_rng(3)
@@ -192,8 +192,8 @@ def _pairs_digest(pairs):
 
 
 class TestAgreementGolden:
-    # a site chunk of the counting kernel holds 8192 sites, so
-    # k = 2**20 + 1 fills 128 chunks and puts one site in a 129th
+    # a site chunk of the counting kernel holds 4096 sites, so
+    # k = 2**20 + 1 fills 256 chunks and puts one site in a 257th
     @pytest.mark.parametrize("r, k, digest", [
         (2, 1, "264d51aa8691c450cca04217821a82b3f95a653abe88f849f46da0499d77cd4b"),
         (4, 1, "74bb001660323f9cedb40769dadef706493a84b8fa00dd9dd99c29e10ccd0753"),

@@ -714,6 +714,38 @@ class TestPipelineCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trust-cap", "0", "trust_cap must exceed 4 * tau"),
+        ("--gamma-u", "10", "violates the rate-pinning inequalities"),
+        ("--witness-count", "1",
+         "witness_count must be an integer of at least 2"),
+        ("--witness-count", "4", None),
+    ])
+    def test_reconstruction_and_binning_flags(self, tmp_path, capsys, flag,
+                                              value, message):
+        # an out-of-range value is refused by its config before --out-dir
+        # is made; an in-range one reaches the run
+        sim = tmp_path / "sim"
+        assert run_cli([
+            "simulate", "--n", "16", "--f", "0.1", "--g", "0.2",
+            "--big-m", "1.5", "--rates", "constant", "--k", "5000",
+            "--seed", "3", "--out-dir", str(sim)]) == 0
+        out = tmp_path / "pipe"
+        code = run_cli([
+            "pipeline", "--alignment", str(sim / "alignment.txt"),
+            "--f", "0.1", "--g", "0.2", "--big-m", "1.5",
+            "--truth", str(sim / "tree.nwk"), flag, value,
+            "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == 0
+            assert "rf=0" in captured.out
+        else:
+            assert code == 2
+            assert captured.err.startswith("rasphy pipeline: ")
+            assert message in captured.err
+            assert not out.exists()
+
     @pytest.mark.parametrize("second", ["failing", "stats-only"])
     def test_rerun_leaves_only_its_own_files(self, tmp_path, capsys, second):
         def simulate(k):
@@ -797,17 +829,18 @@ class TestPipelineCommand:
         lines = (out / "report.txt").read_text().splitlines()
         assert [line[1:-1] for line in lines if line.startswith("[")] == \
             list(record)
-        values = 0
+        values = []  # (section, last key, text) of each value line
         for line in lines:
             if line.startswith("["):
-                section = record[line[1:-1]]
+                name = line[1:-1]
+                section = record[name]
                 continue
             path, text = line.split("=", 1)
             value = section
             for key in path.split("."):
                 value = value[key]
             assert text == str(value) and not isinstance(value, dict)
-            values += 1
+            values.append((name, key, text))
         todo, leaves = [record], 0
         while todo:
             value = todo.pop()
@@ -815,12 +848,19 @@ class TestPipelineCommand:
                 todo.extend(value.values())
             else:
                 leaves += 1
-        assert values == leaves
+        assert len(values) == leaves
         # a decision's count sits under its stage only
         counts = {key for stage in record["stages"].values()
                   for key in stage}
         assert set(record["summary"]).isdisjoint(counts)
         assert "bin_size" in counts or case != "ok"
+        # and no certificate key but its own verdict, ok, repeats a value
+        # that another section holds under the same name
+        certified = {(key, text) for name, key, text in values
+                     if name == "certificate" and key != "ok"}
+        assert certified or case == "failing"
+        assert certified.isdisjoint((key, text) for name, key, text in values
+                                    if name != "certificate")
 
 
 class TestFloatTextPins:

@@ -326,8 +326,8 @@ class TestSimulationContract:
         assert got == GOLDEN_DIGESTS[shape, law]
 
     def test_rows_do_not_depend_on_batching(self, jc, two_speed):
-        # at n=2048 the simulator draws 16 sites per tile and 2049 per
-        # chunk, so k=8300 spans five chunks; m=1050 ends inside a tile and
+        # at n=2048 the simulator draws 16 sites per tile and 1024 per
+        # chunk, so k=8300 spans nine chunks; m=1050 ends inside a tile and
         # m=8250 inside the last chunk
         tree = generate_random_regular(2048, RegularityParams(0.1, 0.2, 1.5),
                                        seed=1)
@@ -338,9 +338,9 @@ class TestSimulationContract:
             assert np.array_equal(part.hidden_lambdas,
                                   full.hidden_lambdas[:m])
         # and the sites on either side of the first and the last chunk
-        # boundary (2049 and 8196 = 4 * 2049) are the sites the stream
+        # boundary (1024 and 8192 = 8 * 1024) are the sites the stream
         # layout defines
-        for site in (0, 2048, 2049, 8195, 8196, 8299):
+        for site in (0, 1023, 1024, 8191, 8192, 8299):
             lam, leaves = _reference_site(tree, jc, two_speed, 9, site)
             assert full.hidden_lambdas[site] == lam
             assert np.array_equal(full.data[site], leaves)
@@ -366,7 +366,7 @@ class TestSimulationContract:
         assert np.array_equal(aln.data[1999], leaves)
 
     def test_working_set_bounded(self, jc, two_speed, monkeypatch):
-        # up to three 8 MiB block arrays are live at a chunk boundary (the
+        # up to three 4 MiB block arrays are live at a chunk boundary (the
         # next keep block and the last chunk's two); tiles and the
         # per-tile temporaries fit in the remaining slack.  The output is
         # a shared mapping that tracemalloc does not see, so the traced
@@ -384,7 +384,7 @@ class TestSimulationContract:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 32 * 2**20
+            assert peak <= 16 * 2**20
 
     def test_largest_seed_simulates(self, five_leaf, jc, two_speed):
         seed = 2 ** 63 - 1
