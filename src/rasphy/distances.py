@@ -56,10 +56,6 @@ class DistortedMetric:
         object.__setattr__(metric, "values", values)
         return metric
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class DistortionReport:

@@ -197,14 +197,9 @@ class RateDistribution:
         return cls.discrete([slow, fast], [0.5, 0.5])
 
     def __repr__(self):
-        if self.kind == "discrete":
-            pts = ";".join(f"{l:g},{p:g}" for l, p in zip(self.support, self.probs))
-            return f"RateDistribution(discrete:{pts})"
-        if self.kind == "gamma":
-            return f"RateDistribution(gamma:{self.shape:g})"
-        if self.kind == "lognormal":
-            return f"RateDistribution(lognormal:{self.sigma:g})"
-        return "RateDistribution(constant)"
+        from .io import format_rates_spec  # io imports this module
+
+        return f"RateDistribution({format_rates_spec(self)})"
 
     # -- transform ----------------------------------------------------------
 
@@ -700,9 +695,6 @@ class AssumptionReport:
     ok: bool
     phi_inv_6g: float
     distance_cap: float
-
-    def __bool__(self):
-        return self.ok
 
     def raise_if_failed(self):
         if not self.ok:

@@ -267,11 +267,13 @@ def _verdict_stands(d: np.ndarray, slot: np.ndarray, alive: np.ndarray,
 
 
 def _median(x: np.ndarray) -> float:
-    """``np.median`` of a short vector, bit for bit."""
+    """``np.median`` of a short vector with no NaN, bit for bit.
+
+    ``x`` is a confirmed cherry's heights over witnesses trusted from
+    both ends, so every entry it is built from is below the trust cap.
+    """
     s = np.sort(x)
     m = s.size // 2
-    if np.isnan(s[-1]):
-        return float("nan")
     return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2)
 
 

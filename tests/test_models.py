@@ -10,11 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from rasphy import (Alignment, RateDistribution, RegularityParams,
-                    SubstitutionModel, agreement_matrix, check_assumption,
-                    exact_leaf_distribution, generate_random_regular,
-                    invert_decreasing, parse_newick, simulate_alignment,
-                    transition_matrix, tree_metric)
+from rasphy import (Alignment, DistortedMetric, PairSet, RateDistribution,
+                    RegularityParams, SubstitutionModel, Topology,
+                    agreement_matrix, all_site_statistics, bin_sites,
+                    check_assumption, derive_params, distorted_metric,
+                    exact_leaf_distribution, four_point_topology,
+                    generate_random_regular, invert_decreasing, parse_newick,
+                    simulate_alignment, site_classification_report,
+                    transition_matrix, tree_metric, verify_distortion)
+from rasphy import io as rio
 from rasphy import models
 
 LN2 = math.log(2.0)
@@ -708,6 +712,15 @@ class TestAlignment:
 _QUARTET = "((a:1,b:1):1,(c:1,d:1):1);"
 
 
+def _piped(text):
+    """A file descriptor that reads ``text``; ``open`` takes one in place
+    of a path."""
+    fd, end = os.pipe()
+    os.write(end, text.encode())
+    os.close(end)
+    return fd
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: SubstitutionModel(1), "alphabet size must be at least 2"),
     (lambda: SubstitutionModel(3, (0.5, 0.5)), "pi must have length r"),
@@ -734,9 +747,40 @@ _QUARTET = "((a:1,b:1):1,(c:1,d:1):1);"
      "alignment states must be integers, not float64"),
     (lambda: Alignment(np.array([[np.nan, 1.0, 0.0]] * 10), r=3),
      "alignment states must be integers, not float64"),
+    (lambda: bin_sites(np.zeros((2, 3)),
+                       derive_params(RegularityParams(0.1, 0.2, 1.5), 8)),
+     "u_values must be 1-d"),
+    (lambda: distorted_metric(np.ones((2, 3))),
+     "agreement matrix must be square"),
+    (lambda: rio.read_distance_matrix(_piped("2\na 0 1\nb 1\n")),
+     "bad distance matrix row"),
+    (lambda: verify_distortion(DistortedMetric(np.zeros((4, 4))),
+                               np.zeros((5, 5)), tau=0.1, psi=1.0),
+     "metric shapes differ"),
+    (lambda: RateDistribution.constant().phi(-1.0),
+     "phi is defined for s >= 0"),
+    # EmptyPairSet is also a ValueError
+    (lambda: all_site_statistics(Alignment(np.zeros((3, 4), dtype=np.uint8),
+                                           r=2), PairSet(()),
+                                 SubstitutionModel.uniform(2)),
+     "pair set is empty"),
+    (lambda: site_classification_report(
+        Alignment(np.zeros((3, 4), dtype=np.uint8), r=2,
+                  hidden_lambdas=[0.5, 1.0, 2.0]),
+        PairSet(((0, 1),)), parse_newick(_QUARTET)),
+     "classification report needs two-speed rates"),
+    (lambda: Topology.from_nested(("a", "b")),
+     "top level must be a tuple of 3 groups"),
+    (lambda: Topology.from_nested(("a", "b", ("c", "d", "e"))),
+     "internal groups must be pairs"),
+    (lambda: four_point_topology(np.ones((4, 4)), 0, 1, 2, 2),
+     "four distinct leaves required"),
 ], ids=["r-1", "pi-length", "support-probs-length", "kind-weibull",
         "zero-mean", "curve-never-reaches", "k-0", "agreement-k-0",
-        "data-1d", "data-half", "data-nan"])
+        "data-1d", "data-half", "data-nan", "bin-sites-2d",
+        "distorted-non-square", "distance-row-short", "metric-shapes",
+        "phi-negative", "pair-set-empty", "classify-three-speeds",
+        "nested-top-pair", "nested-triple", "four-point-repeat"])
 def test_rejections(build, message):
     with pytest.raises(ValueError) as exc:
         build()

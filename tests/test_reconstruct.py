@@ -114,6 +114,13 @@ class TestErrors:
         np.fill_diagonal(d, 0.0)
         with pytest.raises(DisconnectedTrustGraph):
             reconstruct_topology(d, ReconstructionConfig(trust_cap=1.0))
+        # the data-driven cap, 0.1 nudged up by one ulp, is below 4*tau
+        d = np.full((5, 5), 0.1)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(DisconnectedTrustGraph) as exc:
+            reconstruct_topology(d, ReconstructionConfig(tau=0.1))
+        assert str(exc.value) == ("data-driven trust cap 0.10000000000000002"
+                                  " does not exceed 4*tau=0.4")
 
     def test_ambiguous_cherry_on_star(self):
         d = np.full((4, 4), 2.0)

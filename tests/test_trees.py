@@ -16,6 +16,7 @@ from conftest import brute_force_splits
 class TestNewick:
     def test_quartet_round_trip(self, quartet):
         assert quartet.labels == ("a", "b", "c", "d")
+        assert repr(quartet) == "Phylogeny(n_leaves=4)"
         assert quartet.n_vertices == 6
         assert len(quartet.edges) == 5
         # the two root edges merged into the internal edge of weight 2
