@@ -327,11 +327,10 @@ def oracle_sparsify(p: Phylogeny, params: RegularityParams,
         raise ValueError(f"need 4g < m < M, got m={m}, 4g={4 * g}, "
                          f"M={params.distance_cap}")
     dist = tree_metric(p)
-    a_idx, b_idx = np.triu_indices(p.n_leaves, k=1)
-    within = dist[a_idx, b_idx] <= m
+    a_idx, b_idx = np.nonzero(np.triu(dist <= m, 1))  # as in close_pairs
     # nearest first, and "within m" crowds: on negated distances this
     # is the thinning of ``sparsify``, exactly, as negation is exact
-    return PairSet(_greedy_thin(a_idx[within], b_idx[within], -dist, -m))
+    return PairSet(_greedy_thin(a_idx, b_idx, -dist, -m))
 
 
 def certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
@@ -362,14 +361,14 @@ def certify_sparsity(pairs: PairSet, p: Phylogeny, params: RegularityParams,
     size_ok = len(pairs) >= gamma_s * n
     dmin, dmax = 2.0 * params.min_edge, params.distance_cap
     dvals = dist[_pair_index(pairs)]
-    distance_ok = all(dmin <= d <= dmax for d in dvals)
+    bad = np.flatnonzero(~((dmin <= dvals) & (dvals <= dmax)))
+    distance_ok = bad.size == 0
     detail = ""
     if clash:
         detail = f"paths of {clash[0]} and {clash[1]} share an edge"
     elif not distance_ok:
-        bad = [(a, b) for (a, b), d in zip(pairs, dvals)
-               if not (dmin <= d <= dmax)]
-        detail = f"{len(bad)} pairs outside [2f, M], first {bad[0]}"
+        detail = (f"{bad.size} pairs outside [2f, M], "
+                  f"first {pairs.pairs[bad[0]]}")
     return SparsityCertificate(
         gamma_s=gamma_s,
         path_disjoint=clash is None,

@@ -30,6 +30,7 @@ import numpy as np
 
 from .binning import BinAssignment
 from .clustering import PairSet
+from .distances import DistortedMetric
 from .models import Alignment, RateDistribution
 from .trees import Phylogeny, parse_newick
 
@@ -271,7 +272,8 @@ def write_distance_matrix(path, values: np.ndarray, labels):
 
 
 def read_distance_matrix(path):
-    """Returns ``(values, labels)``; ``inf`` tokens become ``np.inf``."""
+    """Returns ``(values, labels)``; ``inf`` tokens become ``np.inf``.
+    Refuses text after row n, and asymmetry as DistortedMetric does."""
     with open(path) as fh:
         n = int(fh.readline())
         labels, rows = [], []
@@ -281,7 +283,10 @@ def read_distance_matrix(path):
                 raise ValueError("bad distance matrix row")
             labels.append(parts[0])
             rows.append([float(x) for x in parts[1:]])
-    return np.array(rows), labels
+        if fh.read().strip():
+            raise ValueError(f"distance matrix does not match header ({n}): "
+                             f"text after row {n}")
+    return DistortedMetric(np.reshape(rows, (n, n))).values, labels
 
 
 def _float_rows(values, sep) -> list:

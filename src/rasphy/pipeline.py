@@ -344,14 +344,11 @@ def site_classification_report(aln: Alignment, pairs: _clustering.PairSet,
     lam_mid = 0.5 * (lam_slow + lam_fast)
     truly_fast = aln.hidden_lambdas > lam_mid
     predicted_fast = u < threshold
-    accuracy = float((truly_fast == predicted_fast).mean())
-    tss = int((~truly_fast & ~predicted_fast).sum())
-    tsf = int((~truly_fast & predicted_fast).sum())
-    tfs = int((truly_fast & ~predicted_fast).sum())
-    tff = int((truly_fast & predicted_fast).sum())
+    tss, tsf, tfs, tff = np.bincount(
+        2 * truly_fast + predicted_fast, minlength=4).tolist()
     return ClassificationReport(
-        accuracy=accuracy, threshold=threshold,
+        accuracy=(tss + tff) / len(u), threshold=threshold,
         mean_slow=mean_slow, mean_fast=mean_fast,
-        n_slow=int((~truly_fast).sum()), n_fast=int(truly_fast.sum()),
+        n_slow=tss + tsf, n_fast=tfs + tff,
         confusion=((tss, tsf), (tfs, tff)),
     )

@@ -332,7 +332,6 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     # the working matrix, indexed by slot; ``values`` is the caller's
     d = values.copy()
     np.fill_diagonal(d, 0.0)
-    flat = d.reshape(-1)  # a view, for scattered column writes
     slot = np.arange(total)  # leaf i in slot i; products' are set at merge
     clades: list = list(labels)
     alive = np.zeros(total, dtype=bool)
@@ -392,7 +391,7 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         row = _pseudo_leaf_row(da[so], db[so], dab, h_a, h_b)
         slot[v] = sa
         da[so] = row
-        flat[so * n + sa] = row  # the column, as one flat scatter
+        d[:, sa][so] = row  # d[:, sa] is a view, so this writes the column
         alive[v] = True
         for pair, verdict in failed:
             queue.push(pair, verdict)
@@ -413,10 +412,9 @@ def inject_distortion(metric: np.ndarray, tau: float, psi: float,
     n = d.shape[0]
     out = d.copy()
     if tau > 0.0:
-        iu = np.triu_indices(n, k=1)
-        noise = rng.uniform(-tau, tau, size=len(iu[0])) * (1.0 - 1e-12)
-        out[iu] += noise
-        out.T[iu] = out[iu]
+        upper = ~np.tri(n, dtype=bool)  # pairs a < b, taken in row-major order
+        out[upper] += rng.uniform(-tau, tau, n * (n - 1) // 2) * (1.0 - 1e-12)
+        out.T[upper] = out[upper]
     out[d >= psi + tau] = np.inf
     np.fill_diagonal(out, 0.0)
     return DistortedMetric(values=out)

@@ -1,6 +1,10 @@
-"""The CI workflow's oldest-stack job runs the floors pyproject.toml admits."""
+"""The CI workflow's oldest-stack job runs the floors pyproject.toml admits,
+and every benchmark workload has a digest pin at its default seed."""
 
+import importlib.util
+import json
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,3 +24,19 @@ def test_pins_job_runs_the_oldest_stack():
             re.search(r'"scipy==([\d.]+)\.\*"', entry))
     assert None not in floors and None not in pins
     assert [m[1] for m in pins] == [m[1] for m in floors]
+
+
+def test_every_workload_pinned_at_its_default_seed():
+    # perfbench/run.py checks no output bytes when a workload's pin is
+    # missing or was made at another seed; it only says "not pinned"
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    pins = json.loads((ROOT / "perfbench/digests.json").read_text())
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", ROOT / "perfbench/workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look it up by name
+    spec.loader.exec_module(workloads)
+    names = [w["name"] for w in bench["workloads"]]
+    assert sorted(pins) == sorted(names)
+    for name in names:
+        assert pins[name]["seed"] == workloads.WORKLOADS[name].default_seed

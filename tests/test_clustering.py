@@ -142,11 +142,14 @@ def _reference_agreement(data, r):
 @pytest.mark.parametrize("n, r, k", [
     (300, 2, 8193), (300, 3, 8193), (300, 4, 8193), (300, 8, 8193),
     (300, 16, 8193), (300, 2, 13_982), (300, 3, 13_982), (300, 4, 13_982),
-    (300, 8, 13_982), (300, 16, 13_982), (7, 20, 5)])
+    (300, 8, 13_982), (300, 16, 13_982), (7, 20, 5), (300, 32, 8193),
+    (300, 33, 8193)])
 def test_counts_equal_float64_one_hot_reference(n, r, k):
     # at n=300 a site chunk holds 4096 sites, with sign planes (r = 2, 4,
-    # 8, 16) as with one-hot planes (r = 3): k = 8193 fills two chunks and
-    # puts one site in a third, and k = 13 982 ends in a part-filled fourth
+    # 8, 16, 32) as with one-hot planes (r = 3, 33): k = 8193 fills two
+    # chunks and puts one site in a third, and k = 13 982 ends in a
+    # part-filled fourth; r = 32 reads the top half of the parity bits,
+    # and r = 33 is the first alphabet past the sign planes
     rng = np.random.default_rng(n)
     data = rng.integers(0, r, size=(k, n)).astype(np.uint8)
     got = agreement_matrix(Alignment(data, r=r), SubstitutionModel.uniform(r))

@@ -754,6 +754,10 @@ def _piped(text):
      "agreement matrix must be square"),
     (lambda: rio.read_distance_matrix(_piped("2\na 0 1\nb 1\n")),
      "bad distance matrix row"),
+    (lambda: rio.read_distance_matrix(_piped("2\na 0 1\nb 1 0\nc 5 5\n")),
+     "distance matrix does not match header (2): text after row 2"),
+    (lambda: rio.read_distance_matrix(_piped("2\na 0 1\nb 2 0\n")),
+     "distance matrix must be symmetric"),
     (lambda: verify_distortion(DistortedMetric(np.zeros((4, 4))),
                                np.zeros((5, 5)), tau=0.1, psi=1.0),
      "metric shapes differ"),
@@ -778,7 +782,8 @@ def _piped(text):
 ], ids=["r-1", "pi-length", "support-probs-length", "kind-weibull",
         "zero-mean", "curve-never-reaches", "k-0", "agreement-k-0",
         "data-1d", "data-half", "data-nan", "bin-sites-2d",
-        "distorted-non-square", "distance-row-short", "metric-shapes",
+        "distorted-non-square", "distance-row-short", "distance-text-after",
+        "distance-asymmetric", "metric-shapes",
         "phi-negative", "pair-set-empty", "classify-three-speeds",
         "nested-top-pair", "nested-triple", "four-point-repeat"])
 def test_rejections(build, message):
