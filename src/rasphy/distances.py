@@ -44,7 +44,8 @@ class DistortedMetric:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("distance matrix must be square")
-        if not np.array_equal(v, v.T, equal_nan=True):
+        # a NaN matches its NaN mirror; the temporaries are boolean
+        if not ((v == v.T) | (np.isnan(v) & np.isnan(v.T))).all():
             raise ValueError("distance matrix must be symmetric")
         object.__setattr__(self, "values", v)
 

@@ -263,7 +263,10 @@ def write_bin_report(path, assignment: BinAssignment, k: int):
 
 
 def write_distance_matrix(path, values: np.ndarray, labels):
-    values = np.asarray(values, dtype=float)
+    """Refuses what :func:`read_distance_matrix` refuses, before the file
+    is opened: a non-square or asymmetric matrix, or a label count that
+    differs from the row count."""
+    values = DistortedMetric(values).values
     if len(labels) != len(values):
         raise ValueError(f"{len(labels)} labels for {len(values)} rows")
     with open(path, "w") as fh:

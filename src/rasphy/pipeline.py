@@ -1,6 +1,7 @@
 """End-to-end orchestration: alignment in, topology plus diagnostics out.
 
-``run_pipeline`` chains the inference stages of ``_STAGES``
+``run_pipeline`` calls the inference stages in turn, one statement each,
+in the order that ``_STAGES`` names them
 
     agreement matrix -> close pairs -> sparsify -> per-site statistics
     -> binning constants -> bin assignment -> abundant bin
@@ -144,58 +145,13 @@ class PipelineReport:
             raise self.error
 
 
-# (stage, report field, call, hint, detail).  ``call`` and ``detail``
-# read the run state: "aln", "model", "cfg", "thresholds", "labels" and
-# the output of every earlier stage under its name.  The last reader of
-# an output that is not a report field pops it from the state, so an
-# (n, n) output is freed before the next stage allocates its own.  Calls
-# name their function through its module at call time, so a patched
-# module attribute takes effect.  Only the stages with a hint can fail
-# statistically.
-_STAGES = (
-    ("agreement_matrix", None,
-     lambda s: _clustering.agreement_matrix(s["aln"], s["model"]),
-     None, None),
-    ("close_pairs", None,
-     lambda s: _clustering.close_pairs(s["agreement_matrix"],
-                                       s["thresholds"]),
-     None, lambda s: {"candidate_pairs": len(s["close_pairs"])}),
-    ("sparsify", "pair_set",
-     lambda s: _clustering.sparsify(s.pop("close_pairs"),
-                                    s.pop("agreement_matrix"),
-                                    s["thresholds"]),
-     "increase k so agreement estimates stabilize, or check f/g against "
-     "the data scale",
-     lambda s: {"pair_count": len(s["sparsify"])}),
-    ("site_statistics", "u_values",
-     lambda s: _clustering.all_site_statistics(s["aln"], s["sparsify"],
-                                               s["model"]),
-     None, None),
-    ("derive_params", "bin_params",
-     lambda s: _binning.derive_params(s["cfg"].reg, s["aln"].n,
-                                      s["cfg"].gamma_u),
-     None, None),
-    ("bin_sites", "assignment",
-     lambda s: _binning.bin_sites(s["site_statistics"], s["derive_params"]),
-     None, None),
-    ("select_abundant", "abundant_bin",
-     lambda s: _binning.select_abundant(s["bin_sites"], s["aln"].k),
-     "increase k",
-     lambda s: {"abundant_bin": s["select_abundant"],
-                "bin_size":
-                    int(s["bin_sites"].counts()[s["select_abundant"]])}),
-    ("bin_agreement", None,
-     lambda s: _distances.bin_agreement(
-         s["aln"], s["bin_sites"].sites(s["select_abundant"]), s["model"]),
-     None, None),
-    ("distorted_metric", "dhat",
-     lambda s: _distances.distorted_metric(s.pop("bin_agreement")),
-     None, None),
-    ("reconstruct_topology", "topology",
-     lambda s: _reconstruct.reconstruct_topology(
-         s["distorted_metric"], s["cfg"].recon, labels=s["labels"]),
-     "increase k or loosen the trust cap", None),
-)
+_STAGES = ("agreement_matrix", "close_pairs", "sparsify", "site_statistics",
+           "derive_params", "bin_sites", "select_abundant", "bin_agreement",
+           "distorted_metric", "reconstruct_topology")
+
+
+class _Stop(Exception):
+    """Ends the stage chain: past ``stop_after``, or at a recorded failure."""
 
 
 def run_pipeline(aln: Alignment, cfg: PipelineConfig,
@@ -216,45 +172,82 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
     if truth is not None and truth.n_leaves != aln.n:
         raise ValueError(f"the truth tree has {truth.n_leaves} leaves but "
                          f"the alignment has {aln.n}")
-    stages = _STAGES
+    names = _STAGES
     if stop_after is not None:
-        names = [stage[0] for stage in _STAGES]
-        if stop_after not in names:
+        if stop_after not in _STAGES:
             raise ValueError(f"unknown stage {stop_after!r}")
-        stages = _STAGES[:names.index(stop_after) + 1]
+        names = _STAGES[:_STAGES.index(stop_after) + 1]
     if cfg.rates is not None:
         check_assumption(cfg.rates, cfg.reg).raise_if_failed()
-    state = {
-        "aln": aln.without_lambdas(),
-        "model": SubstitutionModel.uniform(aln.r),
-        "cfg": cfg,
-        "thresholds": _clustering.ClusteringThresholds.for_max_edge(
-            cfg.reg.max_edge),
-        "labels": truth.labels if truth is not None else None,
-    }
+    data = aln.without_lambdas()
+    model = SubstitutionModel.uniform(aln.r)
+    thresholds = _clustering.ClusteringThresholds.for_max_edge(
+        cfg.reg.max_edge)
     report = PipelineReport()
-    for name, attr, call, hint, detail in stages:
-        if report.error is not None:
-            report.stages.append(StageRecord(
-                name=name, status="skipped",
-                reason=f"upstream stage {report.error.stage!r} failed"))
-            continue
+
+    def run(name, func, *args, hint=None, **kwargs):
+        if len(report.stages) == len(names):
+            raise _Stop
         t0 = time.perf_counter()
         try:
-            state[name] = call(state)
+            out = func(*args, **kwargs)
         except StatisticalFailure as exc:
-            if hint is None:
+            if hint is None:  # only stages with a hint fail statistically
                 raise
             report.error = PipelineError(name, exc, hint)
             report.stages.append(StageRecord(
                 name=name, status="failed",
                 seconds=time.perf_counter() - t0, reason=str(report.error)))
-            continue
+            raise _Stop from None
         report.stages.append(StageRecord(
-            name=name, status="ok", seconds=time.perf_counter() - t0,
-            detail=detail(state) if detail is not None else {}))
-        if attr is not None:
-            setattr(report, attr, state[name])
+            name=name, status="ok", seconds=time.perf_counter() - t0))
+        return out
+
+    # Each function is looked up through its module at call time, so a
+    # patched module attribute takes effect.  An (n, n) output is deleted
+    # after its last reader, before the next stage allocates its own.
+    try:
+        agreement = run("agreement_matrix", _clustering.agreement_matrix,
+                        data, model)
+        candidates = run("close_pairs", _clustering.close_pairs, agreement,
+                         thresholds)
+        report.stages[-1].detail = {"candidate_pairs": len(candidates)}
+        report.pair_set = run(
+            "sparsify", _clustering.sparsify, candidates, agreement,
+            thresholds, hint="increase k so agreement estimates stabilize, "
+            "or check f/g against the data scale")
+        report.stages[-1].detail = {"pair_count": len(report.pair_set)}
+        del agreement, candidates
+        report.u_values = run("site_statistics",
+                              _clustering.all_site_statistics, data,
+                              report.pair_set, model)
+        report.bin_params = run("derive_params", _binning.derive_params,
+                                cfg.reg, aln.n, cfg.gamma_u)
+        report.assignment = run("bin_sites", _binning.bin_sites,
+                                report.u_values, report.bin_params)
+        report.abundant_bin = run("select_abundant",
+                                  _binning.select_abundant,
+                                  report.assignment, aln.k, hint="increase k")
+        report.stages[-1].detail = {
+            "abundant_bin": report.abundant_bin,
+            "bin_size": int(report.assignment.counts()[report.abundant_bin])}
+        bin_agreement = run(
+            "bin_agreement", _distances.bin_agreement, data,
+            report.assignment.sites(report.abundant_bin), model)
+        report.dhat = run("distorted_metric", _distances.distorted_metric,
+                          bin_agreement)
+        del bin_agreement
+        report.topology = run(
+            "reconstruct_topology", _reconstruct.reconstruct_topology,
+            report.dhat, cfg.recon,
+            labels=truth.labels if truth is not None else None,
+            hint="increase k or loosen the trust cap")
+    except _Stop:
+        pass
+    for name in names[len(report.stages):]:
+        report.stages.append(StageRecord(
+            name=name, status="skipped",
+            reason=f"upstream stage {report.error.stage!r} failed"))
 
     if truth is not None:
         _oracle_diagnostics(report, aln, cfg, truth)

@@ -1,11 +1,15 @@
 """The CI workflow's oldest-stack job runs the floors pyproject.toml admits,
-and every benchmark workload has a digest pin at its default seed."""
+its installed-command step passes its own check when run in process, and
+every benchmark workload has a digest pin at its default seed."""
 
 import importlib.util
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
+
+from rasphy import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +28,26 @@ def test_pins_job_runs_the_oldest_stack():
             re.search(r'"scipy==([\d.]+)\.\*"', entry))
     assert None not in floors and None not in pins
     assert [m[1] for m in pins] == [m[1] for m in floors]
+
+
+def test_installed_command_step_passes_its_own_check(tmp_path, monkeypatch):
+    # the step's rasphy command lines, continuations joined, run through
+    # cli.main from an empty directory: a renamed flag or a CLI
+    # regression fails here, not first in CI
+    step = (ROOT / ".github/workflows/tier1.yml").read_text() \
+        .partition("- name: Installed rasphy command")[2] \
+        .partition("- name:")[0]
+    commands = [shlex.split(line)[1:]
+                for line in step.replace("\\\n", " ").splitlines()
+                if line.split()[:1] == ["rasphy"]]
+    assert [argv[0] for argv in commands] == ["simulate", "pipeline"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    # the step's check of pipe/report.json
+    summary = json.loads((tmp_path / "pipe/report.json").read_text())[
+        "summary"]
+    assert summary["ok"] and summary["rf"] == 0, summary
 
 
 def test_every_workload_pinned_at_its_default_seed():

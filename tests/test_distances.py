@@ -137,6 +137,24 @@ class TestDistortedMetric:
         assert got.tobytes() == want.tobytes()
         assert q.tobytes() == before
 
+    def test_symmetry_check_traced_peak(self):
+        # in units of n^2 float64: the check compares in place, with no
+        # copy of the entries; NaN and infinite cells take every path
+        n = 1024
+        rng = np.random.default_rng(1)
+        a = rng.exponential(size=(n, n))
+        a.flat[::997] = np.nan
+        a.flat[5::1009] = np.inf
+        values = np.triu(a) + np.triu(a, 1).T
+        tracemalloc.start()
+        try:
+            metric = DistortedMetric(values=values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metric.values is values
+        assert peak / (8 * n * n) < 1
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_monotone_transform(self, seed):

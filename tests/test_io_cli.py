@@ -265,12 +265,15 @@ class TestFileFormats:
 
     def test_writers_match_repr_across_blocks(self, tmp_path):
         # 300 rows are 5 blocks of 54 and one of 30; the first rows hold
-        # few distinct values, the rest are all distinct
+        # few distinct values, the rest are mostly distinct
         n = 300
         rng = np.random.default_rng(3)
         values = rng.exponential(size=(n, n))
         values[:100] = -np.log(rng.integers(1, 60, size=(100, n)) / 60.0)
-        values[7, 3], values[8, 5] = -0.0, np.nan
+        # symmetric, since the writer refuses asymmetry
+        values = np.triu(values) + np.triu(values, 1).T
+        values[7, 3] = values[3, 7] = -0.0
+        values[8, 5] = values[5, 8] = np.nan
         labels = [f"t{i}" for i in range(n)]
         rio.write_distance_matrix(tmp_path / "d.txt", values, labels)
         assert (tmp_path / "d.txt").read_text() == f"{n}\n" + "".join(
@@ -295,6 +298,8 @@ class TestFileFormats:
         rng = np.random.default_rng(0)
         values = (rng.exponential(size=(n, n)) if distinct else
                   -np.log(rng.integers(1, 900, size=(n, n)) / 900.0))
+        # symmetric, since the writer refuses asymmetry
+        values = np.triu(values) + np.triu(values, 1).T
         labels = [f"leaf_{i}" for i in range(n)]
         tracemalloc.start()
         try:
@@ -316,6 +321,19 @@ class TestFileFormats:
         path = tmp_path / "d.txt"
         with pytest.raises(ValueError, match="labels for 3 rows"):
             rio.write_distance_matrix(path, np.zeros((3, 3)), labels)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((3, 4)), "distance matrix must be square"),
+        (np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5], [2.5, 0.5, 0.0]]),
+         "distance matrix must be symmetric"),
+    ], ids=["non-square", "asymmetric"])
+    def test_distance_matrix_refused_values_write_nothing(
+            self, tmp_path, values, message):
+        # what read_distance_matrix would refuse is never written
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValueError, match=message):
+            rio.write_distance_matrix(path, values, ["x", "y", "z"])
         assert not path.exists()
 
     def test_pairset_lines(self, tmp_path):

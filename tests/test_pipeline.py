@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,6 +20,14 @@ from rasphy import (AmbiguousCherry, EmptyPairSet, PipelineConfig,
                     simulate_alignment, site_classification_report)
 
 REG = RegularityParams(0.1, 0.2, 1.5)
+STAGES = ["agreement_matrix", "close_pairs", "sparsify", "site_statistics",
+          "derive_params", "bin_sites", "select_abundant", "bin_agreement",
+          "distorted_metric", "reconstruct_topology"]
+# the report field each stage fills, for the stages that fill one
+FIELDS = {"sparsify": "pair_set", "site_statistics": "u_values",
+          "derive_params": "bin_params", "bin_sites": "assignment",
+          "select_abundant": "abundant_bin", "distorted_metric": "dhat",
+          "reconstruct_topology": "topology"}
 
 
 def make_instance(n=32, k=20_000, seed=0, rates=None, r=4):
@@ -27,6 +36,23 @@ def make_instance(n=32, k=20_000, seed=0, rates=None, r=4):
     tree = generate_random_regular(n, REG, seed=seed)
     aln = simulate_alignment(tree, model, rates, k, seed=seed + 1)
     return tree, aln, rates
+
+
+def _same(got, want):
+    """Equal values, with arrays and dataclass fields compared by bytes."""
+    if isinstance(want, np.ndarray):
+        return got.tobytes() == want.tobytes()
+    if dataclasses.is_dataclass(want):
+        return all(_same(getattr(got, f.name), getattr(want, f.name))
+                   for f in dataclasses.fields(want))
+    return got == want
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    tree, aln, rates = make_instance(n=24, k=10_000, seed=5)
+    cfg = PipelineConfig(reg=REG, rates=rates)
+    return aln, cfg, run_pipeline(aln, cfg)
 
 
 class TestRunPipeline:
@@ -152,18 +178,40 @@ class TestRunPipeline:
         assert report.distortion is not None
         assert len(calls) == 1
 
-    def test_stop_after_a_stage(self):
-        tree, aln, rates = make_instance(n=24, k=10_000, seed=5)
-        cfg = PipelineConfig(reg=REG, rates=rates)
-        full = run_pipeline(aln, cfg)
-        report = run_pipeline(aln, cfg, stop_after="site_statistics")
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stop_after_a_stage(self, full_run, stage):
+        # the stages up to and including ``stage`` run and fill their
+        # fields as the full run does; the later ones leave no trace
+        aln, cfg, full = full_run
+        report = run_pipeline(aln, cfg, stop_after=stage)
         assert report.ok
-        assert [rec.name for rec in report.stages] == [
-            "agreement_matrix", "close_pairs", "sparsify", "site_statistics"]
-        assert np.array_equal(report.u_values, full.u_values)
-        assert report.assignment is None and report.topology is None
+        done = STAGES[:STAGES.index(stage) + 1]
+        assert [rec.name for rec in report.stages] == done
+        assert [(rec.status, rec.detail) for rec in report.stages] == [
+            (rec.status, rec.detail) for rec in full.stages[:len(done)]]
+        for name, attr in FIELDS.items():
+            if name in done:
+                assert _same(getattr(report, attr), getattr(full, attr)), attr
+            else:
+                assert getattr(report, attr) is None, attr
+
+    def test_stop_after_an_unknown_stage(self, full_run):
+        aln, cfg, _ = full_run
         with pytest.raises(ValueError, match="unknown stage"):
             run_pipeline(aln, cfg, stop_after="bin_size")
+
+    def test_failed_run_skips_only_up_to_stop_after(self):
+        # the instance of test_empty_pair_set_is_recorded_at_sparsify
+        tree = generate_complete_binary(5, 0.9)
+        rates = RateDistribution.constant()
+        aln = simulate_alignment(tree, SubstitutionModel.uniform(4), rates,
+                                 2000, seed=1)
+        report = run_pipeline(aln, PipelineConfig(reg=REG, rates=rates),
+                              truth=tree, stop_after="site_statistics")
+        assert report.error.stage == "sparsify"
+        assert [(rec.name, rec.status) for rec in report.stages] == [
+            ("agreement_matrix", "ok"), ("close_pairs", "ok"),
+            ("sparsify", "failed"), ("site_statistics", "skipped")]
 
     def test_reconstruction_starts_with_one_live_matrix(self, monkeypatch):
         # in units of n^2 float64: the agreement matrix and the bin

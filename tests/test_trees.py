@@ -517,6 +517,9 @@ class TestTopology:
         assert one.labels != two.labels  # numbered differently
         assert one == two
         assert hash(one) == hash(two) and len({one, two}) == 1
+        # not a Topology: __eq__ returns NotImplemented, so == is False
+        assert one.__eq__(one.to_newick()) is NotImplemented
+        assert one != one.to_newick() and one != object()
 
 
 def _sha256(text: str) -> str:
