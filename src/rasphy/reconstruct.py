@@ -48,7 +48,9 @@ a product's id exceeds every member's, so a tie with the last member's
 key leaves it out.  A candidate popped again with its list unchanged
 fails again without a test, and its trusted flag decides between
 :class:`AmbiguousCherry` and :class:`DisconnectedTrustGraph` when no
-candidate passes.  A test checks all witness pairs in one expression.
+candidate passes.  A test gathers the block of ``d`` among the pair and
+its witnesses once, as Python floats; the quartet checks and, for the
+confirmed cherry, the apex heights read only that block.
 
 Every comparison is homogeneous in the distance scale, so a global
 rescaling of the input (with the configuration scaled along) cannot
@@ -58,7 +60,6 @@ is therefore harmless.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass
 
@@ -157,8 +158,8 @@ class _CandidateQueue:
     def add_run(self, b: int, vals: np.ndarray, ids: np.ndarray):
         # ``ids`` ascend, so a stable sort on the value puts the pairs in
         # the order (value, a, b)
-        keep = np.flatnonzero(vals < self._cap)
-        order = keep[np.argsort(vals[keep], kind="stable")]
+        keep = (vals < self._cap).nonzero()[0]
+        order = keep[vals[keep].argsort(kind="stable")]
         self._runs[b] = (vals[order], ids[order])
         self._push_head(b, 0)
 
@@ -209,19 +210,13 @@ def _witnesses(d: np.ndarray, slot: np.ndarray, act: np.ndarray,
         near = key <= np.partition(key, count - 1)[count - 1]
         ids, key = ids[near], key[near]
     # ``act`` ascends, so a stable sort on the key orders by (key, id)
-    return ids[np.argsort(key, kind="stable")[:count]]
+    return ids[key.argsort(kind="stable")[:count]]
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_pairs(m: int) -> tuple:
-    """Index pairs ``i < j`` of ``m`` items, in row order."""
-    return np.triu_indices(m, k=1)
-
-
-def _test_cherry(d: np.ndarray, a: int, b: int, w: np.ndarray, cap: float,
-                 margin_floor: float) -> tuple:
-    """``(tested, confirmed)`` for the candidate ``(a, b)`` and its
-    witnesses ``w``, all given by their slots in ``d``.
+def _test_cherry(block: list, cap: float, margin_floor: float) -> tuple:
+    """``(tested, confirmed)`` for a candidate ``(a, b)`` from ``block``,
+    the rows of ``d`` among ``a``, ``b`` and its witnesses, in that
+    order, as lists of floats.
 
     ``tested`` is whether some witness pair ``(c, e)`` is trusted.
     ``confirmed`` is whether every trusted pair splits ``ab|ce`` with
@@ -229,20 +224,24 @@ def _test_cherry(d: np.ndarray, a: int, b: int, w: np.ndarray, cap: float,
     comes first in a stable sort of the three four-point sums, and the
     next sum exceeds it by more than the floor.  Every entry is below
     ``cap``, so no sum is NaN; a NaN margin passes, as ``margin <=
-    margin_floor`` is false for it.
+    margin_floor`` is false for it.  The first pair that fails decides.
     """
-    i, j = _upper_pairs(w.size)
-    c, e = w[i], w[j]
-    dce = d[c, e]
-    trusted = dce < cap
-    if not trusted.any():
-        return False, False
-    c, e = c[trusted], e[trusted]
-    s1 = d[a, b] + dce[trusted]
-    s2 = d[a, c] + d[b, e]
-    s3 = d[a, e] + d[b, c]
-    wins = (s1 <= s2) & (s1 <= s3) & ~(np.minimum(s2, s3) - s1 <= margin_floor)
-    return True, bool(wins.all())
+    row_a, row_b = block[0], block[1]
+    dab = row_a[1]
+    tested = False
+    for c in range(2, len(block)):
+        row_c = block[c]
+        for e in range(c + 1, len(block)):
+            if not row_c[e] < cap:
+                continue
+            tested = True
+            s1 = dab + row_c[e]
+            s2 = row_a[c] + row_b[e]
+            s3 = row_a[e] + row_b[c]
+            if not (s1 <= s2 and s1 <= s3
+                    and not min(s2, s3) - s1 <= margin_floor):
+                return True, False
+    return tested, tested
 
 
 def _verdict_stands(d: np.ndarray, slot: np.ndarray, alive: np.ndarray,
@@ -264,17 +263,6 @@ def _verdict_stands(d: np.ndarray, slot: np.ndarray, alive: np.ndarray,
             if dxp < cap and dyp < cap and (not full or min(dxp, dyp) < last):
                 return False
     return True
-
-
-def _median(x: np.ndarray) -> float:
-    """``np.median`` of a short vector with no NaN, bit for bit.
-
-    ``x`` is a confirmed cherry's heights over witnesses trusted from
-    both ends, so every entry it is built from is below the trust cap.
-    """
-    s = np.sort(x)
-    m = s.size // 2
-    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2)
 
 
 def _pseudo_leaf_row(dac: np.ndarray, dbc: np.ndarray, dab: float,
@@ -305,9 +293,9 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
     ``dhat`` is a :class:`DistortedMetric` or a symmetric ``(n, n)``
     array with ``+inf`` for missing entries; a raw array passes the same
     square and symmetry checks as a :class:`DistortedMetric` and raises
-    ``ValueError`` if it fails them.  ``labels`` names the leaves
-    (defaults to ``leaf_0 ..``); a list of another length than ``n``
-    raises ``ValueError``.
+    ``ValueError`` if it fails them.  ``labels`` names the leaves, each
+    through ``str`` (defaults to ``leaf_0 ..``); a list of another length
+    than ``n`` raises ``ValueError``.
 
     Contract: if the input is a valid distortion of a tree metric whose
     (rescaled) edge weights lie in ``[f', g']`` with accuracy
@@ -323,6 +311,7 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         raise ValueError("need at least 4 leaves")
     if labels is None:
         labels = [f"leaf_{i}" for i in range(n)]
+    labels = [str(x) for x in labels]
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} leaves")
     cap = _resolve_trust_cap(values[np.tri(n, k=-1, dtype=bool)], cfg)
@@ -342,7 +331,7 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
         queue.add_run(b, values[b, :b], np.arange(b, dtype=np.int32))
 
     for v in range(n, total):
-        act = np.flatnonzero(alive)
+        act = alive.nonzero()[0]
         acts = slot[act]
         failed = []  # (pair, verdict) of each popped candidate that failed
         tested_any = False
@@ -355,8 +344,9 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
             else:
                 witnesses = _witnesses(d, slot, act, acts, a, b, cap,
                                        cfg.witness_count)
-                tested, confirmed = _test_cherry(
-                    d, slot[a], slot[b], slot[witnesses], cap, margin_floor)
+                near = [slot[a], slot[b], *slot[witnesses].tolist()]
+                block = d[np.ix_(near, near)].tolist()
+                tested, confirmed = _test_cherry(block, cap, margin_floor)
                 if confirmed:
                     break
                 w = tuple(witnesses.tolist())
@@ -373,20 +363,23 @@ def reconstruct_topology(dhat, cfg: ReconstructionConfig | None = None,
                 f"{act.size} nodes left; trust horizon or sample size "
                 "too small"
             )
-        # merge the confirmed cherry at its apex, into the slot of ``a``
+        # merge the confirmed cherry at its apex, into the slot of ``a``;
+        # its height above ``a`` is the median of the witnesses' estimates
         sa, sb = int(slot[a]), int(slot[b])
         da, db = d[sa], d[sb]
-        dab = da[sb]
-        sw = slot[witnesses]
-        heights = 0.5 * (dab + da[sw] - db[sw])
-        h_a = _median(heights)
+        dab = block[0][1]
+        heights = sorted(0.5 * (dab + x - y)
+                         for x, y in zip(block[0][2:], block[1][2:]))
+        m = len(heights) // 2
+        h_a = heights[m] if len(heights) % 2 else (
+            heights[m - 1] + heights[m]) / 2
         h_a = min(max(h_a, 0.0), dab)
         h_b = dab - h_a
         clades.append((clades[a], clades[b]))
         alive[a] = alive[b] = False
         queue.drop(a)
         queue.drop(b)
-        others = np.flatnonzero(alive[:v])
+        others = alive[:v].nonzero()[0]
         so = slot[others]
         row = _pseudo_leaf_row(da[so], db[so], dab, h_a, h_b)
         slot[v] = sa

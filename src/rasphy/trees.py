@@ -575,8 +575,8 @@ def quartet_margin(d, a: int, b: int, c: int, e: int):
 
     Same conventions as :func:`four_point_topology`; the margin is 0.0
     for a tie.  Reconstruction does not call it: it applies the same
-    margin rule in ``reconstruct._test_cherry``, over all of a
-    candidate's witness pairs at once.  ``reconstruct`` imports this name
+    margin rule in ``reconstruct._test_cherry``, over a candidate's
+    witness pairs.  ``reconstruct`` imports this name
     only because ``perfbench/spans.py`` looks it up there.
     """
     sums = sorted(

@@ -35,6 +35,12 @@ class TestNoiseless:
         topo = reconstruct_topology(tree_metric(cat), NOISELESS,
                                     labels=cat.labels)
         assert robinson_foulds(topo, cat) == 0
+        # any labels are named by ``str``, as ``Phylogeny`` names them
+        named = reconstruct_topology(tree_metric(cat), NOISELESS,
+                                     labels=[str(i) for i in range(8)])
+        for labels in (list(range(8)), np.arange(8)):
+            assert reconstruct_topology(tree_metric(cat), NOISELESS,
+                                        labels=labels) == named
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_random_trees_rf_zero(self, n, reg_01_02):
@@ -186,6 +192,36 @@ class TestInjectDistortion:
         d = tree_metric(tree)
         dhat = inject_distortion(d, 0.0, np.inf, seed=1).values
         assert np.array_equal(dhat, d)
+
+
+def _block(dist: dict) -> list:
+    """Rows of the symmetric block over the letters named in ``dist``,
+    in alphabetical order, from ``{"xy": d[x, y]}``; 0 on the diagonal."""
+    names = sorted(set("".join(dist)))
+    return [[0.0 if x == y else dist.get(x + y, dist.get(y + x))
+             for y in names] for x in names]
+
+
+# ab|ce with every edge 1: s1 = 4, s2 = s3 = 6
+_QUARTET = {"ab": 2.0, "ce": 2.0, "ac": 3.0, "ae": 3.0, "bc": 3.0, "be": 3.0}
+# three witnesses c, e, f, each 3 from a and from b
+_FIVE = {"ab": 2.0, "ac": 3.0, "ae": 3.0, "af": 3.0, "bc": 3.0, "be": 3.0,
+         "bf": 3.0}
+
+
+@pytest.mark.parametrize("dist, floor, want", [
+    (_QUARTET, 1.0, (True, True)),
+    ({**_QUARTET, "ac": 2.0, "be": 2.0}, 0.0, (True, False)),
+    (_QUARTET, 2.0, (True, False)),
+    ({**_QUARTET, "ab": 3.0, "ce": 3.0, "ac": 2.0, "be": 2.0}, 0.0,
+     (True, False)),
+    ({**_FIVE, "ce": 10.0, "cf": np.inf, "ef": np.nan}, 0.0, (False, False)),
+    ({**_FIVE, "ce": 2.0, "cf": np.inf, "ef": 2.0}, 1.0, (True, True)),
+], ids=["wins-above-floor", "tie-at-floor-0", "margin-equals-floor",
+        "s1-not-smallest", "no-pair-below-cap", "untrusted-pair-skipped"])
+def test_cherry_rule(dist, floor, want):
+    # the cap is 10: a witness pair at or past it, or NaN, is not trusted
+    assert reconstruct._test_cherry(_block(dist), 10.0, floor) == want
 
 
 def _decision_digest(monkeypatch, dhat, cfg) -> str:
