@@ -81,11 +81,19 @@ def bin_agreement(aln: Alignment, bin_sites, model: SubstitutionModel) -> np.nda
     matrix; on an abundant bin its expectation is approximately
     ``exp(-lam* d(a, b))``.  The counting kernel gathers the bin's rows
     one site chunk at a time, so the bin is never copied whole.
+    ``bin_sites`` must be a 1-d array of integer indices in ``[0, k)``:
+    a boolean mask, float indices or negative ones are refused.
     """
-    idx = np.asarray(bin_sites, dtype=np.int64)
+    idx = np.asarray(bin_sites)
     if idx.size == 0:
         raise ValueError("site bin is empty")
-    return _agreement(aln, model, idx)
+    if not np.issubdtype(idx.dtype, np.integer):  # bool is not an integer
+        raise ValueError(f"site indices must be integers, not {idx.dtype}")
+    if idx.ndim != 1:
+        raise ValueError("site indices must be 1-d")
+    if idx.min() < 0 or idx.max() >= aln.k:
+        raise ValueError(f"site indices must lie in [0, {aln.k})")
+    return _agreement(aln, model, idx.astype(np.int64, copy=False))
 
 
 def distorted_metric(qstar: np.ndarray) -> DistortedMetric:

@@ -99,12 +99,10 @@ def format_rates_spec(rates: RateDistribution) -> str:
 def write_alignment(path, aln: Alignment):
     data = aln.data
     k, n = data.shape
-    # Each state's decimal digits, left-aligned and padded with zero bytes.
-    # A row is laid out as cells [separator, digits] and a newline, with no
-    # separator before the first cell; dropping the zero bytes then leaves
-    # the text, so a block of rows is formatted in a few array passes.
-    # Single digits need no padding: a row is [digit, space] * n with its
-    # last space a newline, already the text.
+    # A row is n cells of [digits, space], the digits left-aligned and
+    # padded with zero bytes, and its last byte (the last space, or the
+    # whole row when n = 0) becomes the newline; dropping the zero bytes
+    # leaves the text, and single digits have none to drop.
     top = int(data.max()) if data.size else 0
     width = len(str(top))
     digits = (np.array([str(v) for v in range(top + 1)], dtype=f"S{width}")
@@ -114,21 +112,16 @@ def write_alignment(path, aln: Alignment):
         fh.write(f"{k} {n} {aln.r}\n".encode())
         for start in range(0, k, block_rows):
             block = data[start:start + block_rows]
-            if width == 1:
-                line = np.empty((len(block), max(1, 2 * n)), dtype=np.uint8)
-                line[:, 1::2] = ord(" ")
-                np.add(block, ord("0"), out=line[:, :2 * n:2],
-                       casting="unsafe")
-                line[:, -1] = ord("\n")
-                fh.write(line.tobytes())
-                continue
-            line = np.empty((len(block), n * (width + 1) + 1), dtype=np.uint8)
-            cells = line[:, :-1].reshape(len(block), n, width + 1)
-            cells[:, :1, 0] = 0
-            cells[:, 1:, 0] = ord(" ")
-            cells[:, :, 1:] = digits[block]
+            line = np.empty((len(block), max(1, n * (width + 1))),
+                            dtype=np.uint8)
+            cells = line[:, :n * (width + 1)].reshape(len(block), n, width + 1)
+            cells[:, :, width] = ord(" ")
+            if width == 1:  # uint8 arithmetic; indexing would cast to intp
+                np.add(block, ord("0"), out=cells[:, :, 0], casting="unsafe")
+            else:
+                cells[:, :, :width] = digits[block]
             line[:, -1] = ord("\n")
-            fh.write(line[line != 0].tobytes())
+            fh.write((line if width == 1 else line[line != 0]).tobytes())
 
 
 def read_alignment(path) -> Alignment:

@@ -655,7 +655,8 @@ def exact_leaf_distribution(p: Phylogeny, model: SubstitutionModel,
     support.
 
     The output is invariant (to floating-point accuracy) under the
-    choice of ``root``, which can be any vertex id.
+    choice of ``root``, which can be any vertex id in
+    ``[0, p.n_vertices)``; any other value is refused.
     """
     n = p.n_leaves
     if n > 8 or model.r > 4:
@@ -667,6 +668,8 @@ def exact_leaf_distribution(p: Phylogeny, model: SubstitutionModel,
                          "rate distribution")
     if root is None:
         root = p.root
+    elif not 0 <= root < p.n_vertices:
+        raise ValueError(f"root must be a vertex id in [0, {p.n_vertices})")
     flip = p.path_edges(root, p.root)
     edges = [(c, a, w) if (min(a, c), max(a, c)) in flip else (a, c, w)
              for a, c, w in p.preorder_edges()]

@@ -1,6 +1,7 @@
 """The CI workflow's oldest-stack job runs the floors pyproject.toml admits,
 its installed-command step passes its own check when run in process, and
-every benchmark workload has a digest pin at its default seed."""
+every benchmark workload has a digest pin at its default seed, which one
+full-size replicate of that workload matches."""
 
 import importlib.util
 import json
@@ -8,6 +9,8 @@ import re
 import shlex
 import sys
 from pathlib import Path
+
+import pytest
 
 from rasphy import cli
 
@@ -64,3 +67,22 @@ def test_every_workload_pinned_at_its_default_seed():
     assert sorted(pins) == sorted(names)
     for name in names:
         assert pins[name]["seed"] == workloads.WORKLOADS[name].default_seed
+
+
+@pytest.mark.parametrize("workload", [
+    w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "workloads"]])
+def test_workload_matches_its_pin(workload, tmp_path, monkeypatch, capsys):
+    # the workflow's "Benchmark pins" step, in process: one replicate at
+    # full size and the default seed; run records go to tmp_path
+    spec = importlib.util.spec_from_file_location(
+        "_bench_run", ROOT / "perfbench/run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends to it
+    assert run.main(["--workload", workload, "--seconds", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(re.fullmatch(r"digest [0-9a-f]* \(matches the pin\)", line)
+               for line in lines), lines
+    assert json.loads(lines[-1])["correct"] is True, lines[-1]

@@ -107,6 +107,9 @@ class TestFileFormats:
         (2, 5, 3), (4, 40, 6), (20, 30, 7), (256, 40, 9), (300, 20, 4),
         (4, 0, 5), (4, 1, 5), (3, 1, 3), (2, 3, 0),
         (4, 600, 2048),  # more than one block of rows
+        (10, 5, 4), (11, 5, 4),  # widest states 9 and 10: widths 1 and 2
+        (20, 600, 2048),  # width 2 over two blocks of rows
+        (1001, 3, 2),  # width 4, int64 states
     ])
     def test_alignment_text_matches_row_formatter(self, tmp_path, r, k, n):
         def write_rows(path, aln):

@@ -12,12 +12,13 @@ import pytest
 
 from rasphy import (Alignment, DistortedMetric, PairSet, RateDistribution,
                     RegularityParams, SubstitutionModel, Topology,
-                    agreement_matrix, all_site_statistics, bin_sites,
-                    check_assumption, derive_params, distorted_metric,
-                    exact_leaf_distribution, four_point_topology,
-                    generate_random_regular, invert_decreasing, parse_newick,
-                    simulate_alignment, site_classification_report,
-                    transition_matrix, tree_metric, verify_distortion)
+                    agreement_matrix, all_site_statistics, bin_agreement,
+                    bin_sites, check_assumption, derive_params,
+                    distorted_metric, exact_leaf_distribution,
+                    four_point_topology, generate_random_regular,
+                    invert_decreasing, parse_newick, simulate_alignment,
+                    site_classification_report, transition_matrix,
+                    tree_metric, verify_distortion)
 from rasphy import io as rio
 from rasphy import models
 
@@ -710,6 +711,8 @@ class TestAlignment:
 
 
 _QUARTET = "((a:1,b:1):1,(c:1,d:1):1);"
+_FIVE = "((a:0.1,b:0.2):0.1,(c:0.1,d:0.3):0.2,e:0.1);"  # 8 vertices
+_ZEROS = Alignment(np.zeros((4, 3), dtype=np.uint8), r=2)
 
 
 def _piped(text):
@@ -779,13 +782,37 @@ def _piped(text):
      "internal groups must be pairs"),
     (lambda: four_point_topology(np.ones((4, 4)), 0, 1, 2, 2),
      "four distinct leaves required"),
+    # a mask would be read as the sites 0 and 1
+    (lambda: bin_agreement(_ZEROS, np.arange(4) >= 2,
+                           SubstitutionModel.uniform(2)),
+     "site indices must be integers, not bool"),
+    (lambda: bin_agreement(_ZEROS, [0.7, 1.9], SubstitutionModel.uniform(2)),
+     "site indices must be integers, not float64"),
+    (lambda: bin_agreement(_ZEROS, [[0, 1]], SubstitutionModel.uniform(2)),
+     "site indices must be 1-d"),
+    # a negative index would wrap around to the end
+    (lambda: bin_agreement(_ZEROS, [0, -1], SubstitutionModel.uniform(2)),
+     "site indices must lie in [0, 4)"),
+    (lambda: bin_agreement(_ZEROS, [0, 4], SubstitutionModel.uniform(2)),
+     "site indices must lie in [0, 4)"),
+    (lambda: exact_leaf_distribution(parse_newick(_FIVE),
+                                     SubstitutionModel.uniform(2),
+                                     RateDistribution.constant(), root=-1),
+     "root must be a vertex id in [0, 8)"),
+    (lambda: exact_leaf_distribution(parse_newick(_FIVE),
+                                     SubstitutionModel.uniform(2),
+                                     RateDistribution.constant(), root=8),
+     "root must be a vertex id in [0, 8)"),
 ], ids=["r-1", "pi-length", "support-probs-length", "kind-weibull",
         "zero-mean", "curve-never-reaches", "k-0", "agreement-k-0",
         "data-1d", "data-half", "data-nan", "bin-sites-2d",
         "distorted-non-square", "distance-row-short", "distance-text-after",
         "distance-asymmetric", "metric-shapes",
         "phi-negative", "pair-set-empty", "classify-three-speeds",
-        "nested-top-pair", "nested-triple", "four-point-repeat"])
+        "nested-top-pair", "nested-triple", "four-point-repeat",
+        "bin-agreement-mask", "bin-agreement-float", "bin-agreement-2d",
+        "bin-agreement-negative", "bin-agreement-past-end",
+        "exact-root-negative", "exact-root-past-end"])
 def test_rejections(build, message):
     with pytest.raises(ValueError) as exc:
         build()
