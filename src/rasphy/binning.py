@@ -176,9 +176,13 @@ def select_abundant(ba: BinAssignment, k: int) -> int:
     qualifies.
     """
     threshold = ba.params.abundance_threshold(k)
-    counts = ba.counts()
-    best_bin = 1 + int(np.argmax(counts[1:]))
-    best_count = int(counts[best_bin])
+    # count only the occupied interior bins: num_bins grows like exp(M)
+    occupied, counts = np.unique(ba.site_bin[ba.site_bin > 0],
+                                 return_counts=True)
+    if occupied.size == 0:
+        raise NoAbundantBin(threshold, 0, 1)
+    best = int(np.argmax(counts))
+    best_bin, best_count = int(occupied[best]), int(counts[best])
     if best_count < threshold:
         raise NoAbundantBin(threshold, best_count, best_bin)
     return best_bin

@@ -27,6 +27,7 @@ instead of raising; every other error here means a wrong call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,14 @@ class PairSet:
     pairs: tuple
 
     def __post_init__(self):
-        canon = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
+        try:  # a float would be truncated, a negative id read from the end
+            pairs = [(operator.index(a), operator.index(b))
+                     for a, b in self.pairs]
+        except TypeError:
+            raise ValueError("pair leaves must be integer leaf ids") from None
+        canon = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+        if canon and canon[0][0] < 0:
+            raise ValueError("pair leaves must be nonnegative leaf ids")
         if any(a == b for a, b in canon):
             raise ValueError("a pair may not repeat a leaf")
         if len(set(canon)) != len(canon):

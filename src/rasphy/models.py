@@ -319,6 +319,14 @@ class Alignment:
     hidden_lambdas: np.ndarray | None = None
 
     def __post_init__(self):
+        try:  # the writer prints r as given and the reader parses an int
+            r = operator.index(self.r)
+        except TypeError:
+            r = None
+        if r is None or r < 2:
+            raise ValueError(f"alphabet size must be an integer of at least "
+                             f"2, not {self.r}")
+        object.__setattr__(self, "r", r)
         data = np.asarray(self.data)
         if data.ndim != 2:
             raise ValueError("alignment data must be 2-d (sites x leaves)")
@@ -404,8 +412,9 @@ def simulate_alignment(p: Phylogeny, model: SubstitutionModel,
        one double ``u``, giving ``support[searchsorted(cdf, u, "right")]``
        with ``cdf = cumsum(probs) / cumsum(probs)[-1]``, which is the rule
        of ``Generator.choice(p=probs)``; for gamma and lognormal laws,
-       ``Generator.gamma`` or ``Generator.lognormal`` with ``size=1``,
-       however many words that takes;
+       one ``Generator.gamma`` or ``Generator.lognormal`` variate, drawn
+       by ``rates.sample(rng)`` with no size, however many words that
+       takes (it reads the stream as ``size=1`` does);
     2. one keep double per vertex id, ``0 .. n_vertices - 1``: the vertex
        copies its parent's state iff its double is below
        ``exp(-lam * w)``, ``w`` the weight of the edge to its parent (the

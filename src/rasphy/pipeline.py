@@ -172,11 +172,9 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
     if truth is not None and truth.n_leaves != aln.n:
         raise ValueError(f"the truth tree has {truth.n_leaves} leaves but "
                          f"the alignment has {aln.n}")
-    names = _STAGES
-    if stop_after is not None:
-        if stop_after not in _STAGES:
-            raise ValueError(f"unknown stage {stop_after!r}")
-        names = _STAGES[:_STAGES.index(stop_after) + 1]
+    if stop_after is not None and stop_after not in _STAGES:
+        raise ValueError(f"unknown stage {stop_after!r}")
+    names = _STAGES[:_STAGES.index(stop_after) + 1] if stop_after else _STAGES
     if cfg.rates is not None:
         check_assumption(cfg.rates, cfg.reg).raise_if_failed()
     data = aln.without_lambdas()
@@ -185,61 +183,54 @@ def run_pipeline(aln: Alignment, cfg: PipelineConfig,
         cfg.reg.max_edge)
     report = PipelineReport()
 
-    def run(name, func, *args, hint=None, **kwargs):
+    def run(func, *args, hint=None, **kwargs):
         if len(report.stages) == len(names):
             raise _Stop
+        rec = StageRecord(name=names[len(report.stages)], status="ok")
+        report.stages.append(rec)
         t0 = time.perf_counter()
         try:
-            out = func(*args, **kwargs)
+            return func(*args, **kwargs)
         except StatisticalFailure as exc:
             if hint is None:  # only stages with a hint fail statistically
                 raise
-            report.error = PipelineError(name, exc, hint)
-            report.stages.append(StageRecord(
-                name=name, status="failed",
-                seconds=time.perf_counter() - t0, reason=str(report.error)))
+            report.error = PipelineError(rec.name, exc, hint)
+            rec.status, rec.reason = "failed", str(report.error)
             raise _Stop from None
-        report.stages.append(StageRecord(
-            name=name, status="ok", seconds=time.perf_counter() - t0))
-        return out
+        finally:
+            rec.seconds = time.perf_counter() - t0
 
-    # Each function is looked up through its module at call time, so a
-    # patched module attribute takes effect.  An (n, n) output is deleted
-    # after its last reader, before the next stage allocates its own.
+    # Each call is the next stage in ``_STAGES`` order, which names it; its
+    # function is looked up through its module at call time, so a patched
+    # module attribute takes effect.  An (n, n) output is deleted after
+    # its last reader, before the next stage allocates its own.
     try:
-        agreement = run("agreement_matrix", _clustering.agreement_matrix,
-                        data, model)
-        candidates = run("close_pairs", _clustering.close_pairs, agreement,
-                         thresholds)
+        agreement = run(_clustering.agreement_matrix, data, model)
+        candidates = run(_clustering.close_pairs, agreement, thresholds)
         report.stages[-1].detail = {"candidate_pairs": len(candidates)}
         report.pair_set = run(
-            "sparsify", _clustering.sparsify, candidates, agreement,
-            thresholds, hint="increase k so agreement estimates stabilize, "
+            _clustering.sparsify, candidates, agreement, thresholds,
+            hint="increase k so agreement estimates stabilize, "
             "or check f/g against the data scale")
         report.stages[-1].detail = {"pair_count": len(report.pair_set)}
         del agreement, candidates
-        report.u_values = run("site_statistics",
-                              _clustering.all_site_statistics, data,
+        report.u_values = run(_clustering.all_site_statistics, data,
                               report.pair_set, model)
-        report.bin_params = run("derive_params", _binning.derive_params,
-                                cfg.reg, aln.n, cfg.gamma_u)
-        report.assignment = run("bin_sites", _binning.bin_sites,
-                                report.u_values, report.bin_params)
-        report.abundant_bin = run("select_abundant",
-                                  _binning.select_abundant,
+        report.bin_params = run(_binning.derive_params, cfg.reg, aln.n,
+                                cfg.gamma_u)
+        report.assignment = run(_binning.bin_sites, report.u_values,
+                                report.bin_params)
+        report.abundant_bin = run(_binning.select_abundant,
                                   report.assignment, aln.k, hint="increase k")
-        report.stages[-1].detail = {
-            "abundant_bin": report.abundant_bin,
-            "bin_size": int(report.assignment.counts()[report.abundant_bin])}
-        bin_agreement = run(
-            "bin_agreement", _distances.bin_agreement, data,
-            report.assignment.sites(report.abundant_bin), model)
-        report.dhat = run("distorted_metric", _distances.distorted_metric,
-                          bin_agreement)
+        abundant_sites = report.assignment.sites(report.abundant_bin)
+        report.stages[-1].detail = {"abundant_bin": report.abundant_bin,
+                                    "bin_size": abundant_sites.size}
+        bin_agreement = run(_distances.bin_agreement, data, abundant_sites,
+                            model)
+        report.dhat = run(_distances.distorted_metric, bin_agreement)
         del bin_agreement
         report.topology = run(
-            "reconstruct_topology", _reconstruct.reconstruct_topology,
-            report.dhat, cfg.recon,
+            _reconstruct.reconstruct_topology, report.dhat, cfg.recon,
             labels=truth.labels if truth is not None else None,
             hint="increase k or loosen the trust cap")
     except _Stop:
@@ -263,8 +254,7 @@ def _oracle_diagnostics(report: PipelineReport, aln: Alignment,
     dist = tree_metric(truth)
     report.certificate = _clustering.certify_sparsity(
         report.pair_set, truth, cfg.reg, dist=dist)
-    if (report.dhat is not None and aln.hidden_lambdas is not None
-            and report.abundant_bin is not None):
+    if report.dhat is not None and aln.hidden_lambdas is not None:
         bin_idx = report.assignment.sites(report.abundant_bin)
         lam_star = float(aln.hidden_lambdas[bin_idx].mean())
         tau = lam_star * cfg.reg.min_edge / 5.0

@@ -43,14 +43,15 @@ def test_installed_command_step_passes_its_own_check(tmp_path, monkeypatch):
     commands = [shlex.split(line)[1:]
                 for line in step.replace("\\\n", " ").splitlines()
                 if line.split()[:1] == ["rasphy"]]
-    assert [argv[0] for argv in commands] == ["simulate", "pipeline"]
+    assert [argv[0] for argv in commands] == ["simulate", "pipeline", "eval"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert cli.main(argv) == 0, argv
-    # the step's check of pipe/report.json
+    # the step's checks of pipe/report.json and rf.txt
     summary = json.loads((tmp_path / "pipe/report.json").read_text())[
         "summary"]
     assert summary["ok"] and summary["rf"] == 0, summary
+    assert (tmp_path / "rf.txt").read_text() == "rf=0\n"
 
 
 def test_every_workload_pinned_at_its_default_seed():

@@ -154,6 +154,8 @@ class TestFileFormats:
         ("2 3 4\n0 1 2\n3 0\n", "columns"),
         ("2 3 4\n0 1 2\n", "does not match"),  # too few rows
         ("2 3 4\n0 1 4\n3 0 1\n", r"\[0, r\)"),  # a state >= r
+        ("2 3 1\n0 0 0\n0 0 0\n", "alphabet size must be an integer of at "
+         "least 2, not 1"),
         ("2 0 4\n\n1\n", "does not match"),  # states in an n=0 body
         ("2 0 4\r\n1\r\n\r\n", "does not match"),
         ("2 0 4\n\n", "does not match"),

@@ -750,6 +750,13 @@ def _piped(text):
      "alignment states must be integers, not float64"),
     (lambda: Alignment(np.array([[np.nan, 1.0, 0.0]] * 10), r=3),
      "alignment states must be integers, not float64"),
+    # the writer would print "4.0", which the reader refuses
+    (lambda: Alignment(np.zeros((2, 3), dtype=np.uint8), r=4.0),
+     "alphabet size must be an integer of at least 2, not 4.0"),
+    (lambda: Alignment(np.zeros((2, 3), dtype=np.uint8), r=1.5),
+     "alphabet size must be an integer of at least 2, not 1.5"),
+    (lambda: Alignment(np.zeros((2, 3), dtype=np.uint8), r=1),
+     "alphabet size must be an integer of at least 2, not 1"),
     (lambda: bin_sites(np.zeros((2, 3)),
                        derive_params(RegularityParams(0.1, 0.2, 1.5), 8)),
      "u_values must be 1-d"),
@@ -776,6 +783,9 @@ def _piped(text):
                   hidden_lambdas=[0.5, 1.0, 2.0]),
         PairSet(((0, 1),)), parse_newick(_QUARTET)),
      "classification report needs two-speed rates"),
+    # leaf -1 would be read as the last leaf, 0.7 truncated to leaf 0
+    (lambda: PairSet(((-1, 1),)), "pair leaves must be nonnegative leaf ids"),
+    (lambda: PairSet(((0.7, 1),)), "pair leaves must be integer leaf ids"),
     (lambda: Topology.from_nested(("a", "b")),
      "top level must be a tuple of 3 groups"),
     (lambda: Topology.from_nested(("a", "b", ("c", "d", "e"))),
@@ -805,10 +815,12 @@ def _piped(text):
      "root must be a vertex id in [0, 8)"),
 ], ids=["r-1", "pi-length", "support-probs-length", "kind-weibull",
         "zero-mean", "curve-never-reaches", "k-0", "agreement-k-0",
-        "data-1d", "data-half", "data-nan", "bin-sites-2d",
+        "data-1d", "data-half", "data-nan", "alphabet-float",
+        "alphabet-half", "alphabet-1", "bin-sites-2d",
         "distorted-non-square", "distance-row-short", "distance-text-after",
         "distance-asymmetric", "metric-shapes",
         "phi-negative", "pair-set-empty", "classify-three-speeds",
+        "pair-leaf-negative", "pair-leaf-float",
         "nested-top-pair", "nested-triple", "four-point-repeat",
         "bin-agreement-mask", "bin-agreement-float", "bin-agreement-2d",
         "bin-agreement-negative", "bin-agreement-past-end",

@@ -6,12 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rasphy.clustering
 import rasphy.pipeline
 import rasphy.reconstruct
 import rasphy.trees
-from rasphy import (AmbiguousCherry, EmptyPairSet, PipelineConfig,
+from rasphy import (Alignment, AmbiguousCherry, EmptyPairSet, PipelineConfig,
                     PipelineError, RateDistribution, RegularityParams,
                     SubstitutionModel,
                     generate_complete_binary,
@@ -304,6 +306,31 @@ class TestRunPipeline:
             digests.append(proc.stdout.split())
         assert len(digests[0]) == 3
         assert digests[0] == digests[1]
+
+    # (0.3, 1.5, 15) derives 4.1e13 bins: a dense count of them would
+    # raise MemoryError
+    @example(n=6, k=30, r=4, seed=0, constant=0, reg=(0.3, 1.5, 15))
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 8), k=st.integers(1, 59), r=st.integers(2, 5),
+           seed=st.integers(0, 2**32 - 1), constant=st.integers(0, 8),
+           reg=st.sampled_from([(0.3, 1.5, 15), (0.1, 0.2, 1.5),
+                                (0.1, 0.2, 6.0)]))
+    def test_small_instances_end_in_a_report_or_value_error(
+            self, n, k, r, seed, constant, reg):
+        # no rate law, so no assumption check stands before the stages;
+        # the first columns are constant, the rest simulated
+        tree = generate_random_regular(n, REG, seed=seed)
+        data = simulate_alignment(tree, SubstitutionModel.uniform(r),
+                                  RateDistribution.two_speed(0.5, 1.5), k,
+                                  seed=seed).data
+        data[:, :constant] = 0
+        cfg = PipelineConfig(reg=RegularityParams(*reg))
+        try:
+            report = run_pipeline(Alignment(data, r), cfg)
+        except ValueError:
+            return
+        assert [rec.name for rec in report.stages] == STAGES
+        assert list(report.to_record()["stages"]) == STAGES
 
 
 class TestIdentifiability:
